@@ -19,7 +19,7 @@ from .grid import (
 )
 from .metrics import SSIMConfig, objective_H, snr, ssim
 from .noise import NoiseSpec, corrupt, make_phantom
-from .screened_poisson import CGConfig, ConvergenceError, solve_screened_poisson
+from .screened_poisson import solve_screened_poisson
 from .solvers import (
     SolverConfig,
     SolverState,
@@ -34,8 +34,6 @@ from .solvers import (
 
 __all__ = [
     "ChambolleConfig",
-    "CGConfig",
-    "ConvergenceError",
     "DomainError",
     "ExperimentSpec",
     "FormatError",

@@ -34,7 +34,6 @@ from .fileio import FormatError, read_image, write_image, write_trace
 from .grid import DomainError
 from .metrics import snr, ssim
 from .noise import NoiseSpec, corrupt, make_phantom
-from .screened_poisson import ConvergenceError
 from .solvers import (
     SolverConfig,
     alpha_condition,
@@ -191,7 +190,7 @@ def cmd_denoise(args) -> int:
             u, trace = tv_l2_solve(f, cfg.lambda1, cfg, truth=truth)
         else:
             u, trace = tv_kl_solve(np.maximum(f, 0.0), cfg.lambda2, cfg, truth=truth)
-    except (ConvergenceError, DomainError, FloatingPointError) as exc:
+    except (DomainError, FloatingPointError) as exc:
         print(f"mpg denoise: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -1,93 +1,49 @@
-"""Matrix-free conjugate gradients for the screened Poisson system.
+"""Exact solve of the screened Poisson system by one 2-D cosine transform.
 
 The flux-split ADMM solver's image update has normal equations
 
     (alpha_w * I - alpha_p * Lap) u = rhs
 
-with the discrete Laplacian from :mod:`mpgdenoise.grid`.  The operator is
-symmetric positive definite for ``alpha_w > 0``, ``alpha_p >= 0`` (the
-negative Laplacian is positive semidefinite by construction), so plain CG
-applies.  Everything is matrix-free: the operator is applied through the
-gradient/divergence composition, never assembled.
+with the discrete Laplacian from :mod:`mpgdenoise.grid` (forward-difference
+gradient, replicate/Neumann boundaries).  Along each axis of length ``n``
+that Laplacian is the tridiagonal second difference whose eigenvectors are
+the DCT-II basis, with eigenvalues ``-(2 - 2 cos(pi k / n))``, ``k = 0..n-1``
+(Strang, "The Discrete Cosine Transform", SIAM Review 1999).  The 2-D
+orthonormal DCT-II therefore diagonalizes the whole operator, and the system
+is solved exactly, with no inner iterations, by a forward transform, one
+pointwise division and an inverse transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .grid import laplacian
-
-
-@dataclass
-class CGConfig:
-    tol: float = 1e-8
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must be in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+from scipy.fft import dctn, idctn
 
 
-class ConvergenceError(RuntimeError):
-    """CG failed to reach the requested residual; carries the one it got."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
+def _neg_laplacian_eigenvalues(n: int) -> np.ndarray:
+    return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
 
 
-def solve_screened_poisson(rhs, alpha_w, alpha_p, cfg=None, x0=None):
-    """Solve (alpha_w I - alpha_p Lap) u = rhs to relative residual cfg.tol.
+def solve_screened_poisson(rhs, alpha_w, alpha_p):
+    """Solve (alpha_w I - alpha_p Lap) u = rhs exactly.
 
     Args:
         rhs: right-hand side image (H, W).
         alpha_w: screening weight, must be > 0.
         alpha_p: diffusion weight, must be >= 0.
-        cfg: CGConfig; defaults to ``CGConfig()``.
-        x0: optional initial iterate (warm start); ``None`` means zero.
 
     Returns:
-        The solution image.  Raises :class:`ConvergenceError` when the
-        relative residual ||rhs - A u|| / ||rhs|| is still above ``cfg.tol``
-        after ``cfg.max_iters`` iterations.
+        The solution image.  The operator's eigenvalues are all at least
+        ``alpha_w``, so the division never meets a zero; the result is exact
+        up to the rounding of the two transforms.
     """
-    if cfg is None:
-        cfg = CGConfig()
     if not alpha_w > 0.0:
         raise ValueError("alpha_w must be positive")
-    if alpha_p < 0.0:
+    if not alpha_p >= 0.0:
         raise ValueError("alpha_p must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
-
-    def apply_op(x):
-        return alpha_w * x - alpha_p * laplacian(x)
-
-    rhs_norm = float(np.sqrt(np.sum(rhs * rhs)))
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
-
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    r = rhs - apply_op(x)
-    rs = float(np.sum(r * r))
-    if np.sqrt(rs) <= cfg.tol * rhs_norm:
-        return x
-    p = r.copy()
-    for _ in range(cfg.max_iters):
-        ap = apply_op(p)
-        alpha = rs / float(np.sum(p * ap))
-        x = x + alpha * p
-        r = r - alpha * ap
-        rs_new = float(np.sum(r * r))
-        if np.sqrt(rs_new) <= cfg.tol * rhs_norm:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise ConvergenceError(
-        f"CG stalled at relative residual {np.sqrt(rs) / rhs_norm:.3e} "
-        f"after {cfg.max_iters} iterations (target {cfg.tol:.1e})",
-        residual=float(np.sqrt(rs) / rhs_norm),
+    h, w = rhs.shape
+    eig = alpha_w + alpha_p * (
+        _neg_laplacian_eigenvalues(h)[:, None] + _neg_laplacian_eigenvalues(w)[None, :]
     )
+    return idctn(dctn(rhs, type=2, norm="ortho") / eig, type=2, norm="ortho")

@@ -15,8 +15,9 @@ a TV-L2 proximal step or a pointwise closed form:
   TV-L2 problem solved by the warm-started dual projection of
   :mod:`mpgdenoise.chambolle`.
 * ``bcaf_solve`` additionally splits the image gradient (``p = grad u``), so
-  its image update becomes a screened Poisson system solved by conjugate
-  gradients and the TV term reduces to pointwise vector shrinkage.
+  its image update becomes a screened Poisson system solved exactly by one
+  2-D cosine transform, with no inner iterations, and the TV term reduces to
+  pointwise vector shrinkage.
 
 Two single-fidelity baselines with the same trace interface are included:
 ``tv_l2_solve`` (quadratic fidelity) and ``tv_kl_solve`` (Poisson fidelity
@@ -61,7 +62,7 @@ from .grid import (
     total_variation,
 )
 from .metrics import objective_H, snr
-from .screened_poisson import CGConfig, solve_screened_poisson
+from .screened_poisson import solve_screened_poisson
 
 
 @dataclass
@@ -84,7 +85,6 @@ class SolverConfig:
     xi: float = 5e-4
     max_iters: int = 1000
     chambolle: ChambolleConfig = field(default_factory=ChambolleConfig)
-    cg: CGConfig = field(default_factory=CGConfig)
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "alpha", "alpha_w", "alpha_p", "epsilon", "xi"):
@@ -308,19 +308,19 @@ def bcaf_init(f: np.ndarray) -> SolverState:
 
 
 def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
-    """Screened-Poisson image update, warm-started CG from the previous u.
+    """Screened-Poisson image update, solved exactly by one 2-D DCT.
 
     Normal equations of the u block:
-    ``(alpha_w I - alpha_p Lap) u = -lambda2 + lam_w - div(lam_p) + alpha_w v.*w - alpha_p div(p)``.
+    ``(alpha_w I - alpha_p Lap) u = -lambda2 + lam_w + alpha_w v.*w - div(lam_p + alpha_p p)``.
+    The solve is direct, so the result does not depend on the previous u.
     """
     rhs = (
         -cfg.lambda2
         + state.lam_w
-        - divergence(state.lam_p)
         + cfg.alpha_w * state.v * state.w
-        - cfg.alpha_p * divergence(state.p)
+        - divergence(state.lam_p + cfg.alpha_p * state.p)
     )
-    return solve_screened_poisson(rhs, cfg.alpha_w, cfg.alpha_p, cfg.cg, x0=state.u)
+    return solve_screened_poisson(rhs, cfg.alpha_w, cfg.alpha_p)
 
 
 def bcaf_v_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 import mpgdenoise.cli as cli
 from mpgdenoise.cli import main
 from mpgdenoise.fileio import TRACE_HEADER, read_image, read_trace, write_image
+from mpgdenoise.grid import DomainError
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
-from mpgdenoise.screened_poisson import ConvergenceError
 
 
 def make_noisy(tmp_path, name="noisy.dat", kind="flat", eta=4.0, sigma=1e-2, seed=3):
@@ -168,7 +168,7 @@ def test_exit_code_for_solver_failure(tmp_path, capsys, monkeypatch):
     noisy, _, _ = make_noisy(tmp_path)
 
     def blow_up(f, cfg, truth=None):
-        raise ConvergenceError("iteration cap hit", residual=1.0)
+        raise DomainError("v entries below the positivity floor")
 
     monkeypatch.setattr(cli, "bca_solve", blow_up)
     assert main(["denoise", "--input", str(noisy), "--solver", "bca",
