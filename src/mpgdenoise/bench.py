@@ -39,30 +39,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .chambolle import ChambolleConfig
 from .fileio import FormatError, read_image
+from .methods import METHODS, build_config, run_method
 from .metrics import snr, ssim
 from .noise import NoiseSpec, corrupt, make_phantom
-from .solvers import SolverConfig, bca_solve, bcaf_solve, tv_kl_solve, tv_l2_solve
+from .solvers import SolverConfig
 
 PHANTOM_KINDS = ("circles", "flat", "ramp", "checker")
-SOLVER_NAMES = ("bca", "bcaf", "tvl2", "tvkl")
+SOLVER_NAMES = tuple(METHODS)
 
 RESULT_HEADER = ["image", "eta", "sigma", "solver", "seed", "iters", "snr", "ssim", "seconds", "status"]
-
-_SOLVER_FIELDS = (
-    "lambda1",
-    "lambda2",
-    "alpha",
-    "alpha_w",
-    "alpha_p",
-    "epsilon",
-    "xi",
-    "max_iters",
-    "inner_iters",
-)
 
 
 @dataclass
@@ -82,33 +68,21 @@ class ExperimentSpec:
             raise ValueError("experiment needs at least one solver")
 
 
-def _build_config(fields: dict) -> SolverConfig:
-    inner = int(fields.pop("inner_iters", ChambolleConfig().inner_iters))
-    kwargs = {k: (int(v) if k == "max_iters" else float(v)) for k, v in fields.items()}
-    missing = [k for k in ("lambda1", "lambda2") if k not in kwargs]
-    if missing:
-        raise ValueError(f"solver section needs {' and '.join(missing)}")
-    return SolverConfig(chambolle=ChambolleConfig(inner_iters=inner), **kwargs)
-
-
 def _expand_solver(label: str, raw: dict) -> list[tuple[str, str, SolverConfig]]:
     method = raw.pop("method", None)
     if method not in SOLVER_NAMES:
         raise ValueError(f"solver section [{label}] needs method in {SOLVER_NAMES}")
-    unknown = set(raw) - set(_SOLVER_FIELDS)
-    if unknown:
-        raise ValueError(f"unknown solver keys in [{label}]: {sorted(unknown)}")
+    source = f"[solver.{label}]"
     lists = {k: v.split() for k, v in raw.items() if len(v.split()) > 1}
     if len(lists) > 1:
         raise ValueError(f"at most one swept field per solver section, got {sorted(lists)}")
     if not lists:
-        return [(label, method, _build_config(dict(raw)))]
+        return [(label, method, build_config(raw, source))]
     (key, values), = lists.items()
     out = []
     for val in values:
-        fields = dict(raw)
-        fields[key] = val
-        out.append((f"{label}-{key}{float(val):g}", method, _build_config(fields)))
+        cfg = build_config({**raw, key: val}, source)
+        out.append((f"{label}-{key}{float(val):g}", method, cfg))
     return out
 
 
@@ -124,17 +98,15 @@ def load_experiment(path) -> ExperimentSpec:
     exp = parser["experiment"]
     noise = []
     solvers = []
-    for section in parser.sections():
-        if section.startswith("noise."):
-            s = parser[section]
-            noise.append(
-                NoiseSpec(eta=float(s["eta"]), sigma=float(s.get("sigma", "0")))
-            )
-        elif section.startswith("solver."):
-            solvers.extend(
-                _expand_solver(section.split(".", 1)[1], dict(parser[section]))
-            )
     try:
+        for section in parser.sections():
+            s = parser[section]
+            if section.startswith("noise."):
+                if "eta" not in s:
+                    raise ValueError(f"[{section}] needs eta")
+                noise.append(NoiseSpec(eta=float(s["eta"]), sigma=float(s.get("sigma", "0"))))
+            elif section.startswith("solver."):
+                solvers.extend(_expand_solver(section.split(".", 1)[1], dict(s)))
         return ExperimentSpec(
             image_source=exp.get("image", "circles"),
             width=int(exp.get("width", "64")),
@@ -154,16 +126,6 @@ def _load_truth(spec: ExperimentSpec):
     return read_image(spec.image_source)
 
 
-_SOLVE = {
-    # baselines take a single fidelity weight: the quadratic one for tvl2,
-    # the Poisson one for tvkl
-    "bca": lambda f, cfg, truth: bca_solve(f, cfg, truth=truth),
-    "bcaf": lambda f, cfg, truth: bcaf_solve(f, cfg, truth=truth),
-    "tvl2": lambda f, cfg, truth: tv_l2_solve(f, cfg.lambda1, cfg, truth=truth),
-    "tvkl": lambda f, cfg, truth: tv_kl_solve(f, cfg.lambda2, cfg, truth=truth),
-}
-
-
 def _run_cell(truth, image_label, nspec, label, method, cfg, seed):
     row = {
         "image": image_label,
@@ -179,11 +141,7 @@ def _run_cell(truth, image_label, nspec, label, method, cfg, seed):
     }
     try:
         f = corrupt(truth, NoiseSpec(eta=nspec.eta, sigma=nspec.sigma, seed=seed))
-        if method == "tvkl":
-            # Poisson fidelity needs a nonnegative observation; the Gaussian
-            # part of the synthesis can dip below zero
-            f = np.maximum(f, 0.0)
-        u, trace = _SOLVE[method](f, cfg, truth)
+        u, trace = run_method(method, f, cfg, truth)
         row["iters"] = trace[-1].iter
         row["seconds"] = f"{trace[-1].seconds:.6f}"
         row["snr"] = f"{snr(u, truth):.6f}"

@@ -8,12 +8,14 @@ Subcommands::
                 --output out.fimg --trace trace.csv [--truth clean.fimg]
     mpg bench --spec experiment.ini
 
-Solver flags mirror the SolverConfig fields.  For the single-fidelity
-baselines the weight comes from the matching flag: ``--lambda1`` for tvl2
-(quadratic fidelity), ``--lambda2`` for tvkl (Poisson fidelity).  ``denoise``
-can also read a ``[solver]`` section from an INI file via ``--spec``;
-precedence is flags > spec file > built-in defaults, and the resolved values
-are echoed as ``#`` comments at the top of the trace CSV.
+Solver flags mirror the SolverConfig fields (``--inner-iters`` sets the
+ChambolleConfig one).  For the single-fidelity baselines the weight comes
+from the matching flag: ``--lambda1`` for tvl2 (quadratic fidelity),
+``--lambda2`` for tvkl (Poisson fidelity).  ``denoise`` can also read a
+``[solver]`` section from an INI file via ``--spec``; precedence is flags >
+spec file > defaults (``lambda1=8`` and ``lambda2=2.5`` here, the rest those
+of SolverConfig), and the resolved values are echoed as ``#`` comments at
+the top of the trace CSV.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
 files), 3 solver failure.
@@ -24,24 +26,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from .bench import PHANTOM_KINDS, SOLVER_NAMES, load_experiment, run_bench, thread_count
-from .chambolle import ChambolleConfig
 from .fileio import FormatError, read_image, write_image, write_trace
 from .grid import DomainError
+from .methods import CONFIG_FIELDS, METHODS, build_config, config_values, run_method
 from .metrics import snr, ssim
 from .noise import NoiseSpec, corrupt, make_phantom
-from .solvers import (
-    SolverConfig,
-    alpha_condition,
-    bca_solve,
-    bcaf_solve,
-    tv_kl_solve,
-    tv_l2_solve,
-)
+from .solvers import SolverConfig, alpha_condition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,21 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_SOLVER_FLAGS = {
-    "lambda1": float,
-    "lambda2": float,
-    "alpha": float,
-    "alpha_w": float,
-    "alpha_p": float,
-    "epsilon": float,
-    "xi": float,
-    "max_iters": int,
-    "inner_iters": int,
-}
+# SolverConfig has no defaults for the model weights; the command line does
+_WEIGHT_DEFAULTS = {"lambda1": 8.0, "lambda2": 2.5}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    for name, typ in _SOLVER_FLAGS.items():
+    for name, typ in CONFIG_FIELDS.items():
         p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None)
 
 
@@ -113,19 +96,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve_config(args) -> tuple[SolverConfig, dict]:
+def _resolve_config(args) -> SolverConfig:
     """defaults < spec-file [solver] section < explicit flags"""
-    fields = {
-        "lambda1": 8.0,
-        "lambda2": 2.5,
-        "alpha": 200.0,
-        "alpha_w": 200.0,
-        "alpha_p": 50.0,
-        "epsilon": 1e-6,
-        "xi": 5e-4,
-        "max_iters": 1000,
-        "inner_iters": 10,
-    }
+    values = dict(_WEIGHT_DEFAULTS)
     if args.spec:
         ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
         try:
@@ -134,21 +107,16 @@ def _resolve_config(args) -> tuple[SolverConfig, dict]:
         except (OSError, configparser.Error) as exc:
             raise FormatError(f"cannot parse {args.spec}: {exc}") from exc
         if "solver" in ini:
-            for key, value in ini["solver"].items():
-                if key not in _SOLVER_FLAGS:
-                    raise FormatError(f"{args.spec}: unknown solver key {key!r}")
-                fields[key] = _SOLVER_FLAGS[key](value)
-    for key in _SOLVER_FLAGS:
-        flag = getattr(args, key)
-        if flag is not None:
-            fields[key] = flag
-    inner = fields.pop("inner_iters")
+            values.update(ini["solver"])
+    for key in CONFIG_FIELDS:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
     try:
-        cfg = SolverConfig(chambolle=ChambolleConfig(inner_iters=inner), **fields)
+        return build_config(values, args.spec or "command line")
+    except FormatError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    resolved = dict(fields, inner_iters=inner)
-    return cfg, resolved
 
 
 def cmd_phantom(kind: str, width: int, height: int, output) -> int:
@@ -177,19 +145,12 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    cfg, resolved = _resolve_config(args)
+    cfg = _resolve_config(args)
     f = read_image(args.input)
     truth = read_image(args.truth) if args.truth else None
 
     try:
-        if args.solver == "bca":
-            u, trace = bca_solve(f, cfg, truth=truth)
-        elif args.solver == "bcaf":
-            u, trace = bcaf_solve(f, cfg, truth=truth)
-        elif args.solver == "tvl2":
-            u, trace = tv_l2_solve(f, cfg.lambda1, cfg, truth=truth)
-        else:
-            u, trace = tv_kl_solve(np.maximum(f, 0.0), cfg.lambda2, cfg, truth=truth)
+        u, trace = run_method(args.solver, f, cfg, truth)
     except (DomainError, FloatingPointError) as exc:
         print(f"mpg denoise: solver failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -197,10 +158,12 @@ def cmd_denoise(args) -> int:
     write_image(args.output, u)
     if args.trace:
         header = {"command": "denoise", "solver": args.solver, "input": str(args.input)}
-        header.update((k, f"{v:g}" if isinstance(v, float) else str(v)) for k, v in resolved.items())
-        if args.solver in ("bca", "bcaf"):
-            penalty = cfg.alpha if args.solver == "bca" else cfg.alpha_w
-            met, bound, c = alpha_condition(penalty, cfg.lambda2, cfg.epsilon, trace)
+        header.update(
+            (k, f"{v:g}" if isinstance(v, float) else str(v)) for k, v in config_values(cfg).items()
+        )
+        penalty = METHODS[args.solver].penalty
+        if penalty is not None:
+            met, bound, c = alpha_condition(getattr(cfg, penalty), cfg.lambda2, cfg.epsilon, trace)
             header["alpha_condition"] = (
                 f"{'met' if met else 'not met'} (bound {bound:.4g}, observed min w {c:.4g})"
             )
@@ -216,12 +179,7 @@ def cmd_denoise(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        spec = load_experiment(args.spec)
-    except FormatError:
-        raise
-    except ValueError as exc:  # solver/noise section problems carry no path yet
-        raise FormatError(f"{args.spec}: {exc}") from exc
+    spec = load_experiment(args.spec)
     if args.output_dir:
         spec.output_dir = args.output_dir
     try:
@@ -259,10 +217,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"mpg: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"mpg: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"mpg: {exc}", file=sys.stderr)
         return EXIT_DATA
 

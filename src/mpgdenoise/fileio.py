@@ -18,6 +18,7 @@ comment lines echoing the resolved configuration.
 from __future__ import annotations
 
 import csv
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,17 +26,7 @@ import numpy as np
 from .grid import as_image
 from .solvers import TraceRecord
 
-TRACE_HEADER = [
-    "iter",
-    "se",
-    "objective",
-    "lagrangian",
-    "min_w",
-    "identity_residual",
-    "constraint_residual",
-    "snr",
-    "seconds",
-]
+TRACE_HEADER = [f.name for f in fields(TraceRecord)]
 
 
 class FormatError(ValueError):
@@ -192,19 +183,7 @@ def write_trace(path, trace: list[TraceRecord], header: dict | None = None) -> N
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for r in trace:
-            writer.writerow(
-                [
-                    r.iter,
-                    _cell(r.se),
-                    _cell(r.objective),
-                    _cell(r.lagrangian),
-                    _cell(r.min_w),
-                    _cell(r.identity_residual),
-                    _cell(r.constraint_residual),
-                    _cell(r.snr),
-                    _cell(r.seconds),
-                ]
-            )
+            writer.writerow([r.iter] + [_cell(getattr(r, name)) for name in TRACE_HEADER[1:]])
 
 
 def read_trace(path):
@@ -231,17 +210,7 @@ def read_trace(path):
         for row in reader:
             if len(row) != len(TRACE_HEADER):
                 raise FormatError(f"bad trace row: {row}")
-            records.append(
-                TraceRecord(
-                    iter=int(row[0]),
-                    se=float(row[1]),
-                    objective=float(row[2]),
-                    lagrangian=float(row[3]),
-                    min_w=opt(row[4]),
-                    identity_residual=opt(row[5]),
-                    constraint_residual=opt(row[6]),
-                    snr=opt(row[7]),
-                    seconds=float(row[8]),
-                )
-            )
+            # se, objective, lagrangian and seconds are always present
+            values = [*map(float, row[1:4]), *map(opt, row[4:8]), float(row[8])]
+            records.append(TraceRecord(int(row[0]), *values))
     return records, header

@@ -1,4 +1,4 @@
-"""Discrete image grid: arrays, finite-difference operators, checked arithmetic.
+"""Discrete image grid: arrays, finite-difference operators, a checked log.
 
 Conventions used by every module in this package:
 
@@ -41,11 +41,6 @@ def as_image(a) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError("image contains non-finite entries")
     return arr
-
-
-def zero_field(height: int, width: int) -> np.ndarray:
-    """Zero vector field of shape (2, height, width)."""
-    return np.zeros((2, height, width))
 
 
 def gradient(u: np.ndarray) -> np.ndarray:
@@ -93,76 +88,12 @@ def total_variation(u: np.ndarray) -> float:
     return float(magnitude(gradient(u)).sum())
 
 
-# ---------------------------------------------------------------------------
-# checked elementwise operations
-#
-# numpy would happily return inf/nan for the unchecked versions; inside the
-# solvers a zero denominator or a nonpositive log argument always means an
-# invariant was violated upstream, so these raise instead.
-
-
-def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
-def add(a, b):
-    _check_shapes(a, b)
-    return a + b
-
-
-def sub(a, b):
-    _check_shapes(a, b)
-    return a - b
-
-
-def mul(a, b):
-    """Hadamard (entrywise) product."""
-    _check_shapes(a, b)
-    return a * b
-
-
-def div(a, b):
-    """Entrywise quotient; zero denominators raise ``DomainError``."""
-    _check_shapes(a, b)
-    if np.any(b == 0.0):
-        raise DomainError("division by zero entry")
-    return a / b
-
-
-def pixel_max(a, b):
-    _check_shapes(a, b)
-    return np.maximum(a, b)
-
-
 def ln(a):
-    """Entrywise natural log; nonpositive entries raise ``DomainError``."""
+    """Entrywise natural log; nonpositive entries raise ``DomainError``.
+
+    Inside the solvers a nonpositive log argument always means an invariant
+    was violated upstream, so this raises where numpy would return inf/nan.
+    """
     if np.any(a <= 0.0):
         raise DomainError("log of nonpositive entry")
     return np.log(a)
-
-
-def sqrt(a):
-    """Entrywise square root; negative entries raise ``DomainError``."""
-    if np.any(a < 0.0):
-        raise DomainError("square root of negative entry")
-    return np.sqrt(a)
-
-
-def scale(a, s: float):
-    return a * float(s)
-
-
-def inner(a, b) -> float:
-    """Euclidean inner product over all entries (fields included)."""
-    _check_shapes(a, b)
-    return float(np.sum(a * b))
-
-
-def norm(a) -> float:
-    """Euclidean (L2) norm over all entries."""
-    return float(np.sqrt(np.sum(np.square(a))))
-
-
-def min_entry(a) -> float:
-    return float(np.min(a))

@@ -1,0 +1,98 @@
+"""The method table and the solver-config builder shared by ``mpg denoise``
+and the bench harness; field names, types and defaults come from the config
+dataclasses themselves.
+"""
+
+from __future__ import annotations
+
+import typing
+from dataclasses import MISSING, dataclass, fields
+
+import numpy as np
+
+from . import solvers
+from .chambolle import ChambolleConfig
+from .fileio import FormatError
+from .solvers import SolverConfig
+
+
+@dataclass(frozen=True)
+class Method:
+    """How one method is called.
+
+    ``solve`` names the solve function in :mod:`mpgdenoise.solvers`.  It is
+    looked up on that module at every call, never stored, so a wrapper put on
+    the module attribute (a tracer, a test double) sees every call.
+    ``weight`` names the config field passed as a baseline's single fidelity
+    weight, ``clamp`` feeds the solver ``max(f, 0)`` instead of ``f``, and
+    ``penalty`` names the field that :func:`~mpgdenoise.solvers.alpha_condition`
+    checks.
+    """
+
+    solve: str
+    weight: str | None = None
+    clamp: bool = False
+    penalty: str | None = None
+
+
+METHODS = {
+    "bca": Method("bca_solve", penalty="alpha"),
+    "bcaf": Method("bcaf_solve", penalty="alpha_w"),
+    # the baselines take one fidelity weight: the quadratic one for tvl2, the
+    # Poisson one for tvkl, whose fidelity needs a nonnegative observation
+    # (the Gaussian part of the noise can dip below zero)
+    "tvl2": Method("tv_l2_solve", weight="lambda1"),
+    "tvkl": Method("tv_kl_solve", weight="lambda2", clamp=True),
+}
+
+
+def run_method(method: str, f, cfg: SolverConfig, truth=None):
+    """Run the solver of ``method`` on observation ``f``; returns ``(u, trace)``."""
+    m = METHODS[method]
+    solve = getattr(solvers, m.solve)
+    if m.clamp:
+        f = np.maximum(f, 0.0)
+    if m.weight is None:
+        return solve(f, cfg, truth=truth)
+    return solve(f, getattr(cfg, m.weight), cfg, truth=truth)
+
+
+# settable field -> type, in SolverConfig order; chambolle is exposed through
+# its inner_iters field only
+CONFIG_FIELDS = {k: t for k, t in typing.get_type_hints(SolverConfig).items() if k != "chambolle"}
+CONFIG_FIELDS["inner_iters"] = typing.get_type_hints(ChambolleConfig)["inner_iters"]
+
+
+def build_config(values: dict, source: str) -> SolverConfig:
+    """Build a SolverConfig from ``values`` (field name -> value or its text).
+
+    Omitted fields keep their dataclass defaults.  An unknown or missing
+    field, or a value that does not parse as its field's type, raises
+    :class:`FormatError` naming ``source``; a value the config rejects raises
+    its ``ValueError``.
+    """
+    parsed = {}
+    for key, value in values.items():
+        if key not in CONFIG_FIELDS:
+            raise FormatError(f"{source}: unknown solver key {key!r}")
+        try:
+            parsed[key] = CONFIG_FIELDS[key](value)
+        except ValueError as exc:
+            raise FormatError(f"{source}: {key}: {exc}") from exc
+    missing = [
+        f.name
+        for f in fields(SolverConfig)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in parsed
+    ]
+    if missing:
+        raise FormatError(f"{source}: solver settings need {' and '.join(missing)}")
+    inner = parsed.pop("inner_iters", ChambolleConfig.inner_iters)
+    return SolverConfig(chambolle=ChambolleConfig(inner_iters=inner), **parsed)
+
+
+def config_values(cfg: SolverConfig) -> dict:
+    """The settable fields of ``cfg`` in :data:`CONFIG_FIELDS` order."""
+    return {
+        name: cfg.chambolle.inner_iters if name == "inner_iters" else getattr(cfg, name)
+        for name in CONFIG_FIELDS
+    }

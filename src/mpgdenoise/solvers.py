@@ -23,9 +23,11 @@ Two single-fidelity baselines with the same trace interface are included:
 ``tv_l2_solve`` (quadratic fidelity) and ``tv_kl_solve`` (Poisson fidelity
 via an ADMM split with a pointwise quadratic-root update).
 
-All solvers stop when the relative step ``||u_k+1 - u_k|| / ||u_k||`` falls
-to ``xi`` or after ``max_iters`` outer iterations, and return the estimate
-together with a per-iteration list of :class:`TraceRecord`.
+Each solver supplies only its outer iteration (calling the step functions
+below) and its diagnostics to one driver, ``_run``, which owns the loop, the
+clock, the per-iteration :class:`TraceRecord` list and the one stop rule:
+the relative step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or
+``max_iters`` outer iterations are done.
 
 A known identity of the bilinear split: after every multiplier update,
 ``Lambda .* w = lambda2`` holds exactly (the w update picks the positive
@@ -156,14 +158,63 @@ def alpha_condition(alpha: float, lambda2: float, epsilon: float, trace) -> tupl
     return alpha > bound, bound, c
 
 
-def _rel_step(u_new: np.ndarray, u_old: np.ndarray) -> float:
-    den = float(np.linalg.norm(u_old))
-    return float(np.linalg.norm(u_new - u_old)) / (den if den > 0.0 else 1.0)
-
-
 def _rel_norm(num: np.ndarray, ref: np.ndarray) -> float:
     den = float(np.linalg.norm(ref))
     return float(np.linalg.norm(num)) / (den if den > 0.0 else 1.0)
+
+
+def _run(cfg: SolverConfig, truth, u0: np.ndarray, step, diagnose):
+    """Outer loop of every solver: ``step(k)`` runs iteration ``k`` and returns
+    the new ``u``, ``diagnose()`` the trace columns objective through
+    constraint_residual.  Returns ``(u, trace)``."""
+    u = u0
+    trace: list[TraceRecord] = []
+    start = time.perf_counter()
+    for k in range(1, cfg.max_iters + 1):
+        u_prev = u
+        u = step(k)
+        se = _rel_norm(u - u_prev, u_prev)
+        trace.append(
+            TraceRecord(
+                k,
+                se,
+                *diagnose(),
+                snr=None if truth is None else snr(u, truth),
+                seconds=time.perf_counter() - start,
+            )
+        )
+        if se <= cfg.xi:
+            break
+    return u, trace
+
+
+def _bilinear_diagnostics(state: SolverState, f, cfg: SolverConfig, grad_u=None):
+    """Trace columns of a bilinear-split iterate.  With ``state.p`` set the
+    Lagrangian is the flux-split one (``grad_u`` is ``gradient(state.u)``)."""
+    flux = state.p is not None
+    alpha = cfg.alpha_w if flux else cfg.alpha
+    gap = state.v * state.w - state.u
+    lagrangian = (
+        0.5 * cfg.lambda1 * float(np.sum((f - state.v) ** 2))
+        + cfg.lambda2 * float(np.sum(state.u - state.v * np.log(state.w) - state.v))
+        + (float(np.sum(magnitude(state.p))) if flux else total_variation(state.u))
+        + float(np.sum(state.lam_w * gap))
+        + 0.5 * alpha * float(np.sum(gap * gap))
+    )
+    if flux:
+        gap_p = state.p - grad_u
+        lagrangian = (
+            lagrangian
+            + float(np.sum(state.lam_p * gap_p))
+            + 0.5 * cfg.alpha_p * float(np.sum(gap_p * gap_p))
+        )
+    return (
+        objective_H(state.u, state.v, f, cfg),
+        lagrangian,
+        float(np.min(state.w)),
+        float(np.max(np.abs(state.lam_w * state.w - cfg.lambda2))),
+        _rel_norm(gap, state.u),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +266,11 @@ def bca_v_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     return _v_update(state.u, state.w, state.lam_w, f, cfg, cfg.alpha, state.iters == 0)
 
 
-def _w_update(u, v, lam_w, lambda2, alpha):
-    x = u - lam_w / alpha
+def _w_update(state, cfg, alpha):
+    if np.min(state.v) < cfg.epsilon:
+        raise DomainError("v entries below the positivity floor; v update is broken")
+    u, v, lambda2 = state.u, state.v, cfg.lambda2
+    x = u - state.lam_w / alpha
     s = 4.0 * lambda2 * v / alpha
     root = np.sqrt(x * x + s)
     # the two expressions are algebraically equal; picking by the sign of x
@@ -231,24 +285,12 @@ def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     pixel (stationarity of ``-lambda2 v log w + (alpha/2)(v w + lam_w/alpha - u)^2``).
     Always strictly positive.
     """
-    if np.min(state.v) < cfg.epsilon:
-        raise DomainError("v entries below the positivity floor; v update is broken")
-    return _w_update(state.u, state.v, state.lam_w, cfg.lambda2, cfg.alpha)
+    return _w_update(state, cfg, cfg.alpha)
 
 
 def bca_multiplier_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     """Dual ascent on the bilinear constraint; expects u, v, w advanced."""
     return state.lam_w + cfg.alpha * (state.v * state.w - state.u)
-
-
-def _bca_lagrangian(state, f, cfg):
-    gap = state.v * state.w - state.u
-    e = (
-        0.5 * cfg.lambda1 * float(np.sum((f - state.v) ** 2))
-        + cfg.lambda2 * float(np.sum(state.u - state.v * np.log(state.w) - state.v))
-        + total_variation(state.u)
-    )
-    return e + float(np.sum(state.lam_w * gap)) + 0.5 * cfg.alpha * float(np.sum(gap * gap))
 
 
 def bca_solve(f, cfg: SolverConfig, truth=None):
@@ -259,36 +301,16 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
     """
     f = as_image(f)
     state = bca_init(f)
-    trace: list[TraceRecord] = []
-    start = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
-        u_prev = state.u
+
+    def step(k):
         state.u = bca_u_step(state, f, cfg)
         state.v = bca_v_step(state, f, cfg)
         state.w = bca_w_step(state, cfg)
         state.lam_w = bca_multiplier_step(state, cfg)
         state.iters = k
+        return state.u
 
-        se = _rel_step(state.u, u_prev)
-        min_w = float(np.min(state.w))
-        trace.append(
-            TraceRecord(
-                iter=k,
-                se=se,
-                objective=objective_H(state.u, state.v, f, cfg),
-                lagrangian=_bca_lagrangian(state, f, cfg),
-                min_w=min_w,
-                identity_residual=float(
-                    np.max(np.abs(state.lam_w * state.w - cfg.lambda2))
-                ),
-                constraint_residual=_rel_norm(state.v * state.w - state.u, state.u),
-                snr=None if truth is None else snr(state.u, truth),
-                seconds=time.perf_counter() - start,
-            )
-        )
-        if se <= cfg.xi:
-            break
-    return state.u, trace
+    return _run(cfg, truth, state.u, step, lambda: _bilinear_diagnostics(state, f, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +351,7 @@ def bcaf_v_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
 
 
 def bcaf_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    if np.min(state.v) < cfg.epsilon:
-        raise DomainError("v entries below the positivity floor; v update is broken")
-    return _w_update(state.u, state.v, state.lam_w, cfg.lambda2, cfg.alpha_w)
+    return _w_update(state, cfg, cfg.alpha_w)
 
 
 def bcaf_p_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -339,65 +359,35 @@ def bcaf_p_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     return soft_threshold(gradient(state.u) - state.lam_p / cfg.alpha_p, 1.0 / cfg.alpha_p)
 
 
-def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig):
-    """Dual ascent on both constraints; expects u, v, w, p advanced."""
+def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray):
+    """Dual ascent on both constraints; expects u, v, w, p advanced.
+
+    ``grad_u`` is ``gradient(state.u)``, computed once per iteration by the
+    caller and shared with the trace diagnostics.
+    """
     lam_w = state.lam_w + cfg.alpha_w * (state.v * state.w - state.u)
-    lam_p = state.lam_p + cfg.alpha_p * (state.p - gradient(state.u))
+    lam_p = state.lam_p + cfg.alpha_p * (state.p - grad_u)
     return lam_w, lam_p
-
-
-def _bcaf_lagrangian(state, f, cfg):
-    gap_w = state.v * state.w - state.u
-    gap_p = state.p - gradient(state.u)
-    e = (
-        0.5 * cfg.lambda1 * float(np.sum((f - state.v) ** 2))
-        + cfg.lambda2 * float(np.sum(state.u - state.v * np.log(state.w) - state.v))
-        + float(np.sum(magnitude(state.p)))
-    )
-    return (
-        e
-        + float(np.sum(state.lam_w * gap_w))
-        + 0.5 * cfg.alpha_w * float(np.sum(gap_w * gap_w))
-        + float(np.sum(state.lam_p * gap_p))
-        + 0.5 * cfg.alpha_p * float(np.sum(gap_p * gap_p))
-    )
 
 
 def bcaf_solve(f, cfg: SolverConfig, truth=None):
     """Run the flux-split solver on observation ``f``; returns ``(u, trace)``."""
     f = as_image(f)
     state = bcaf_init(f)
-    trace: list[TraceRecord] = []
-    start = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
-        u_prev = state.u
+    grad_u = None
+
+    def step(k):
+        nonlocal grad_u
         state.u = bcaf_u_step(state, f, cfg)
         state.v = bcaf_v_step(state, f, cfg)
         state.w = bcaf_w_step(state, cfg)
         state.p = bcaf_p_step(state, cfg)
-        state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg)
+        grad_u = gradient(state.u)
+        state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u)
         state.iters = k
+        return state.u
 
-        se = _rel_step(state.u, u_prev)
-        min_w = float(np.min(state.w))
-        trace.append(
-            TraceRecord(
-                iter=k,
-                se=se,
-                objective=objective_H(state.u, state.v, f, cfg),
-                lagrangian=_bcaf_lagrangian(state, f, cfg),
-                min_w=min_w,
-                identity_residual=float(
-                    np.max(np.abs(state.lam_w * state.w - cfg.lambda2))
-                ),
-                constraint_residual=_rel_norm(state.v * state.w - state.u, state.u),
-                snr=None if truth is None else snr(state.u, truth),
-                seconds=time.perf_counter() - start,
-            )
-        )
-        if se <= cfg.xi:
-            break
-    return state.u, trace
+    return _run(cfg, truth, state.u, step, lambda: _bilinear_diagnostics(state, f, cfg, grad_u))
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +404,18 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
     f = as_image(f)
     if not lam > 0.0:
         raise DomainError("fidelity weight must be positive")
-    u_prev = f
-    dual = None
-    trace: list[TraceRecord] = []
-    start = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
+    u = dual = None
+
+    def step(k):
+        nonlocal u, dual
         u, dual = tv_l2_denoise(f, lam, cfg.chambolle, warm_dual=dual)
-        se = _rel_step(u, u_prev)
+        return u
+
+    def diagnose():
         val = tv_l2_energy(u, f, lam)
-        trace.append(
-            TraceRecord(
-                iter=k,
-                se=se,
-                objective=val,
-                lagrangian=val,
-                min_w=None,
-                identity_residual=None,
-                constraint_residual=None,
-                snr=None if truth is None else snr(u, truth),
-                seconds=time.perf_counter() - start,
-            )
-        )
-        u_prev = u
-        if se <= cfg.xi:
-            break
-    return u_prev, trace
+        return val, val, None, None, None
+
+    return _run(cfg, truth, f, step, diagnose)
 
 
 def kl_z_update(u, mu, f, lam: float, rho: float):
@@ -470,33 +447,19 @@ def tv_kl_solve(f, lam: float, cfg: SolverConfig, truth=None):
     z = f.copy()
     mu = np.zeros_like(f)
     dual = None
-    trace: list[TraceRecord] = []
-    start = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
-        u_prev = u
+
+    def step(k):
+        nonlocal u, z, mu, dual
         u, dual = tv_l2_denoise(z + mu / rho, rho, cfg.chambolle, warm_dual=dual)
         z = kl_z_update(u, mu, f, lam, rho)
         mu = mu + rho * (z - u)
+        return u
 
-        se = _rel_step(u, u_prev)
+    def diagnose():
         log_u = np.log(np.maximum(u, 1e-12))
         val = lam * float(np.sum(u - np.where(f > 0.0, f * log_u, 0.0))) + total_variation(u)
         gap = z - u
-        trace.append(
-            TraceRecord(
-                iter=k,
-                se=se,
-                objective=val,
-                lagrangian=val
-                + float(np.sum(mu * gap))
-                + 0.5 * rho * float(np.sum(gap * gap)),
-                min_w=None,
-                identity_residual=None,
-                constraint_residual=None,
-                snr=None if truth is None else snr(u, truth),
-                seconds=time.perf_counter() - start,
-            )
-        )
-        if se <= cfg.xi:
-            break
-    return u, trace
+        lagrangian = val + float(np.sum(mu * gap)) + 0.5 * rho * float(np.sum(gap * gap))
+        return val, lagrangian, None, None, None
+
+    return _run(cfg, truth, u, step, diagnose)

@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-import mpgdenoise.bench as bench
+import mpgdenoise.solvers as solvers
 from mpgdenoise.bench import (
     RESULT_HEADER,
     ExperimentSpec,
@@ -15,7 +15,8 @@ from mpgdenoise.bench import (
     thread_count,
 )
 from mpgdenoise.fileio import FormatError, write_image
-from mpgdenoise.noise import NoiseSpec
+from mpgdenoise.metrics import snr
+from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
 
 
 def write_spec(tmp_path, body, name="exp.ini"):
@@ -234,10 +235,11 @@ def test_rows_deterministic_apart_from_timing(tmp_path):
 
 
 def test_failing_cell_recorded_not_fatal(tmp_path, monkeypatch):
-    def boom(f, cfg, truth):
+    def boom(f, cfg, truth=None):
         raise FloatingPointError("diverged")
 
-    monkeypatch.setitem(bench._SOLVE, "bca", boom)
+    # the method table looks solve functions up on the solvers module per call
+    monkeypatch.setattr(solvers, "bca_solve", boom)
     spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
     rows = read_rows(run_bench(spec, threads=1))
     bad = [r for r in rows if r["solver"] == "bca" and r["seed"] != "mean"]
@@ -247,6 +249,19 @@ def test_failing_cell_recorded_not_fatal(tmp_path, monkeypatch):
     assert all(r["status"] == "ok" for r in good)
     bad_aggs = [r for r in rows if r["solver"] == "bca" and r["seed"] == "mean"]
     assert all(r["status"] == "ok (0/3)" and r["snr"] == "" for r in bad_aggs)
+
+
+def test_cell_snr_matches_library_call(tmp_path):
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
+    rows = read_rows(run_bench(spec, threads=1))
+    truth = make_phantom("flat", 16, 16)
+    f = corrupt(truth, NoiseSpec(eta=8.0, sigma=1e-2, seed=1))
+    cfg = solvers.SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=6,
+                               chambolle=solvers.ChambolleConfig(inner_iters=5))
+    u, trace = solvers.bca_solve(f, cfg, truth=truth)
+    cell = next(r for r in rows if (r["eta"], r["solver"], r["seed"]) == ("8", "bca", "1"))
+    assert cell["snr"] == f"{snr(u, truth):.6f}"
+    assert cell["iters"] == str(trace[-1].iter)
 
 
 def test_poisson_baseline_handles_negative_samples(tmp_path):

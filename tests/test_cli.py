@@ -5,11 +5,12 @@ import textwrap
 import numpy as np
 import pytest
 
-import mpgdenoise.cli as cli
+import mpgdenoise.solvers as solvers
 from mpgdenoise.cli import main
 from mpgdenoise.fileio import TRACE_HEADER, read_image, read_trace, write_image
 from mpgdenoise.grid import DomainError
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
+from mpgdenoise.solvers import SolverConfig, bca_solve, bcaf_solve, tv_kl_solve, tv_l2_solve
 
 
 def make_noisy(tmp_path, name="noisy.dat", kind="flat", eta=4.0, sigma=1e-2, seed=3):
@@ -90,6 +91,43 @@ def test_denoise_without_truth_leaves_snr_blank(tmp_path, capsys):
     assert rows[0].strip() == ",".join(TRACE_HEADER)
 
 
+def test_denoise_matches_library_for_every_method(tmp_path):
+    # heavy Gaussian noise puts negative samples in the input, which tvkl
+    # must see clamped to zero
+    noisy, truth, f = make_noisy(tmp_path, kind="circles", sigma=0.3)
+    assert np.min(f) < 0.0
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=15)
+    want = {
+        "bca": bca_solve(f, cfg),
+        "bcaf": bcaf_solve(f, cfg),
+        "tvl2": tv_l2_solve(f, 8.0, cfg),
+        "tvkl": tv_kl_solve(np.maximum(f, 0.0), 2.5, cfg),
+    }
+    for solver, (u, trace) in want.items():
+        out = tmp_path / f"{solver}.dat"
+        trace_path = tmp_path / f"{solver}.csv"
+        assert main(["denoise", "--input", str(noisy), "--solver", solver, "--max-iters", "15",
+                     "-o", str(out), "--trace", str(trace_path)]) == 0
+        assert read_image(out).tobytes() == u.tobytes(), solver
+        records, _ = read_trace(trace_path)
+        assert [r.lagrangian for r in records] == [r.lagrangian for r in trace], solver
+
+
+def test_trace_header_key_order(tmp_path):
+    noisy, _, _ = make_noisy(tmp_path)
+    trace_path = tmp_path / "t.csv"
+    assert main(["denoise", "--input", str(noisy), "--solver", "bcaf", "--max-iters", "3",
+                 "-o", str(tmp_path / "o.dat"), "--trace", str(trace_path)]) == 0
+    _, header = read_trace(trace_path)
+    assert list(header) == [
+        "command", "solver", "input", "lambda1", "lambda2", "alpha", "alpha_w",
+        "alpha_p", "epsilon", "xi", "max_iters", "inner_iters", "alpha_condition",
+    ]
+    assert [header[k] for k in ("alpha_p", "epsilon", "xi", "max_iters")] == [
+        "50", "1e-06", "0.0005", "3",
+    ]
+
+
 def test_denoise_baselines_run(tmp_path):
     noisy, _, _ = make_noisy(tmp_path)
     for solver, flag, value in (("tvl2", "--lambda1", "3"), ("tvkl", "--lambda2", "3")):
@@ -161,7 +199,21 @@ def test_exit_codes_for_bad_data(tmp_path, capsys):
     bad_bench = tmp_path / "bench.ini"
     bad_bench.write_text("[experiment]\n[noise.a]\neta = 4\n[solver.s]\nmethod = bca\n")
     assert main(["bench", "--spec", str(bad_bench)]) == 2             # no lambdas
-    assert capsys.readouterr().err.count("mpg:") >= 8
+    no_eta = tmp_path / "no_eta.ini"
+    no_eta.write_text("[experiment]\n[noise.a]\nsigma = 1\n"
+                      "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
+    assert main(["bench", "--spec", str(no_eta)]) == 2
+    assert capsys.readouterr().err.count("mpg:") >= 9
+
+
+def test_malformed_solver_value_is_data_error(tmp_path, capsys):
+    noisy, _, _ = make_noisy(tmp_path)
+    ini = tmp_path / "s.ini"
+    for body in ("[solver]\nlambda1 = abc\n", "[solver]\nmax_iters = 1e3\n"):
+        ini.write_text(body)
+        assert main(["denoise", "--input", str(noisy), "--solver", "bca",
+                     "--spec", str(ini), "-o", str(tmp_path / "o.dat")]) == 2
+        assert capsys.readouterr().err.startswith(f"mpg: {ini}: ")
 
 
 def test_exit_code_for_solver_failure(tmp_path, capsys, monkeypatch):
@@ -170,7 +222,7 @@ def test_exit_code_for_solver_failure(tmp_path, capsys, monkeypatch):
     def blow_up(f, cfg, truth=None):
         raise DomainError("v entries below the positivity floor")
 
-    monkeypatch.setattr(cli, "bca_solve", blow_up)
+    monkeypatch.setattr(solvers, "bca_solve", blow_up)  # looked up by the method table
     assert main(["denoise", "--input", str(noisy), "--solver", "bca",
                  "-o", str(tmp_path / "o.dat")]) == 3
     assert "solver failed" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Differential operators and checked arithmetic on image grids."""
+"""Differential operators and the checked log on image grids."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from mpgdenoise import grid
 
 
 def brute_inner(a, b):
-    # independent of grid.inner: plain python accumulation
+    # independent of np.vdot: plain python accumulation
     total = 0.0
     for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
         total += x * y
@@ -51,7 +51,7 @@ def test_gradient_far_edges_are_zero():
 
 
 def test_divergence_of_zero_field():
-    assert np.all(grid.divergence(grid.zero_field(5, 4)) == 0.0)
+    assert np.all(grid.divergence(np.zeros((2, 5, 4))) == 0.0)
 
 
 def test_adjointness_random_8x8():
@@ -78,8 +78,8 @@ def test_adjointness_property_up_to_64():
         w = int(rng.integers(1, 65))
         u = rng.standard_normal((h, w)) * rng.uniform(0.1, 10.0)
         q = rng.standard_normal((2, h, w)) * rng.uniform(0.1, 10.0)
-        gap = abs(grid.inner(grid.gradient(u), q) + grid.inner(u, grid.divergence(q)))
-        assert gap <= 1e-10 * (grid.norm(u) * grid.norm(q) + 1.0)
+        gap = abs(np.vdot(grid.gradient(u), q) + np.vdot(u, grid.divergence(q)))
+        assert gap <= 1e-10 * (np.linalg.norm(u) * np.linalg.norm(q) + 1.0)
 
 
 def test_divergence_ignores_far_edge_entries():
@@ -111,17 +111,17 @@ def test_laplacian_symmetric():
     for _ in range(10):
         u = rng.standard_normal((7, 9))
         v = rng.standard_normal((7, 9))
-        assert abs(grid.inner(u, grid.laplacian(v)) - grid.inner(grid.laplacian(u), v)) <= 1e-12
+        assert abs(np.vdot(u, grid.laplacian(v)) - np.vdot(grid.laplacian(u), v)) <= 1e-12
 
 
 def test_laplacian_negative_semidefinite():
     rng = np.random.default_rng(12)
     for _ in range(10):
         u = rng.standard_normal((8, 6))
-        quad = grid.inner(u, grid.laplacian(u))
+        quad = np.vdot(u, grid.laplacian(u))
         assert quad <= 1e-12
         # and it equals exactly -||grad u||^2
-        assert abs(quad + grid.norm(grid.gradient(u)) ** 2) <= 1e-10
+        assert abs(quad + np.linalg.norm(grid.gradient(u)) ** 2) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_total_variation_of_constant():
 
 
 # ---------------------------------------------------------------------------
-# as_image and checked arithmetic
+# as_image and the checked log
 
 
 def test_as_image_validates():
@@ -163,58 +163,13 @@ def test_as_image_validates():
     assert out.dtype == np.float64
 
 
-def test_mul_by_ones_is_identity():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((4, 4))
-    np.testing.assert_array_equal(grid.mul(a, np.ones_like(a)), a)
-
-
-def test_inner_hand_sum_2x2():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert grid.inner(a, b) == pytest.approx(5 + 12 + 21 + 32, abs=1e-13)
-
-
-def test_norm_of_zero():
-    assert grid.norm(np.zeros((3, 3))) == 0.0
-
-
-def test_add_sub_roundtrip():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((3, 5))
-    b = rng.standard_normal((3, 5))
-    np.testing.assert_allclose(grid.sub(grid.add(a, b), b), a, atol=1e-15)
-
-
-def test_div_and_pixel_max():
-    a = np.array([[4.0, 9.0]])
-    b = np.array([[2.0, 3.0]])
-    np.testing.assert_array_equal(grid.div(a, b), [[2.0, 3.0]])
-    np.testing.assert_array_equal(grid.pixel_max(a, b), [[4.0, 9.0]])
-
-
-def test_ln_sqrt_scale_min_entry():
+def test_ln_values():
     a = np.array([[1.0, np.e]])
     np.testing.assert_allclose(grid.ln(a), [[0.0, 1.0]], atol=1e-15)
-    np.testing.assert_array_equal(grid.sqrt(np.array([[4.0, 0.0]])), [[2.0, 0.0]])
-    np.testing.assert_array_equal(grid.scale(a, 2.0), 2.0 * a)
-    assert grid.min_entry(np.array([[3.0, -2.0], [0.5, 7.0]])) == -2.0
-
-
-def test_shape_mismatch_raises():
-    a = np.zeros((2, 3))
-    b = np.zeros((3, 2))
-    for op in (grid.add, grid.sub, grid.mul, grid.div, grid.pixel_max, grid.inner):
-        with pytest.raises(grid.ShapeMismatchError):
-            op(a, b)
 
 
 def test_domain_errors():
     with pytest.raises(grid.DomainError):
-        grid.div(np.ones((2, 2)), np.array([[1.0, 0.0], [1.0, 1.0]]))
-    with pytest.raises(grid.DomainError):
         grid.ln(np.array([[1.0, 0.0]]))
     with pytest.raises(grid.DomainError):
         grid.ln(np.array([[-0.5, 1.0]]))
-    with pytest.raises(grid.DomainError):
-        grid.sqrt(np.array([[-1e-9, 1.0]]))

@@ -10,6 +10,7 @@ system they claim to solve.
 import numpy as np
 import pytest
 
+import mpgdenoise.solvers as solvers
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
 from mpgdenoise.grid import DomainError, gradient, laplacian, magnitude
 from mpgdenoise.metrics import snr
@@ -549,3 +550,34 @@ def test_tv_kl_baseline_constant_and_domain():
         tv_kl_solve(bad, 3.0, cfg)
     with pytest.raises(DomainError):
         tv_kl_solve(f, -1.0, cfg)
+
+
+def test_every_solver_stops_at_the_first_small_step():
+    f = corrupt(make_phantom("ramp", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=4))
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-3, max_iters=500)
+    for _, trace in (
+        bca_solve(f, cfg),
+        bcaf_solve(f, cfg),
+        tv_l2_solve(f, 8.0, cfg),
+        tv_kl_solve(np.maximum(f, 0.0), 2.5, cfg),
+    ):
+        assert len(trace) < cfg.max_iters
+        assert trace[-1].se <= cfg.xi
+        assert all(r.se > cfg.xi for r in trace[:-1])
+        assert [r.iter for r in trace] == list(range(1, len(trace) + 1))
+
+
+def test_bcaf_takes_the_gradient_of_u_twice_per_iteration(monkeypatch):
+    # one call inside bcaf_p_step, one shared by the multiplier step and the
+    # Lagrangian of the trace
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return gradient(u)
+
+    monkeypatch.setattr(solvers, "gradient", counting)
+    f = corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    _, trace = bcaf_solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=6))
+    assert len(trace) == 6
+    assert len(calls) == 12
