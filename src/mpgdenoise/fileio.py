@@ -187,30 +187,40 @@ def write_trace(path, trace: list[TraceRecord], header: dict | None = None) -> N
 
 
 def read_trace(path):
-    """Read back a trace CSV; returns (records, header_comments)."""
+    """Read back a trace CSV; returns (records, header_comments).
+
+    A foreign header row, a short row or a cell that is not a number raises
+    ``FormatError`` naming the file and the line.
+    """
     path = Path(path)
     header: dict[str, str] = {}
     records: list[TraceRecord] = []
+    rows: list[str] = []
+    linenos: list[int] = []
     with open(path, newline="") as fh:
-        rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 header[key.strip()] = value
             else:
                 rows.append(line)
-        reader = csv.reader(rows)
-        head = next(reader, None)
-        if head != TRACE_HEADER:
-            raise FormatError(f"unexpected trace header: {head}")
+                linenos.append(lineno)
+    reader = csv.reader(rows)
+    head = next(reader, None)
+    if head != TRACE_HEADER:
+        raise FormatError(f"{path}: unexpected trace header: {head}")
 
-        def opt(s):
-            return None if s == "" else float(s)
+    def opt(s):
+        return None if s == "" else float(s)
 
-        for row in reader:
-            if len(row) != len(TRACE_HEADER):
-                raise FormatError(f"bad trace row: {row}")
+    for row in reader:
+        where = f"{path}: line {linenos[reader.line_num - 1]}"
+        if len(row) != len(TRACE_HEADER):
+            raise FormatError(f"{where}: bad trace row: {row}")
+        try:
             # se, objective, lagrangian and seconds are always present
             values = [*map(float, row[1:4]), *map(opt, row[4:8]), float(row[8])]
             records.append(TraceRecord(int(row[0]), *values))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return records, header

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import DomainError, ShapeMismatchError, total_variation
 
@@ -53,11 +53,17 @@ class SSIMConfig:
 
 
 def _gaussian_window(size: int) -> np.ndarray:
+    """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     half = (size - 1) / 2.0
     x = np.arange(size) - half
     g = np.exp(-(x**2) / (2.0 * _SSIM_SIGMA**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+def _smooth(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid-region correlation of ``x`` with ``outer(g, g)``: rows, then columns."""
+    rows = sliding_window_view(x, g.size, axis=1) @ g
+    return sliding_window_view(rows, g.size, axis=0) @ g
 
 
 def ssim(a, b, cfg: SSIMConfig | None = None) -> float:
@@ -67,6 +73,11 @@ def ssim(a, b, cfg: SSIMConfig | None = None) -> float:
     ``(k1 L)^2`` and ``(k2 L)^2``, and no padding: windows that would stick
     out of the image are dropped, so both dimensions must be at least the
     window size.  Larger is better; identical images score exactly 1.
+
+    The window is the 2-D Gaussian of standard deviation 1.5 (Wang et al.,
+    IEEE TIP 2004).  It is separable, so each local statistic is two 1-D
+    passes of the normalized 1-D Gaussian, along rows and then along
+    columns, which equals the 2-D correlation up to rounding.
     """
     if cfg is None:
         cfg = SSIMConfig()
@@ -74,20 +85,18 @@ def ssim(a, b, cfg: SSIMConfig | None = None) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.ndim != 2:
+        raise ValueError(f"ssim needs 2-D images, got shape {a.shape}")
     if min(a.shape) < cfg.window:
         raise ValueError(
             f"image dims {a.shape} smaller than the {cfg.window}x{cfg.window} window"
         )
-    kern = _gaussian_window(cfg.window)
-
-    def smooth(x):
-        return convolve2d(x, kern, mode="valid")
-
-    mu_a = smooth(a)
-    mu_b = smooth(b)
-    var_a = smooth(a * a) - mu_a**2
-    var_b = smooth(b * b) - mu_b**2
-    cov = smooth(a * b) - mu_a * mu_b
+    g = _gaussian_window(cfg.window)
+    mu_a = _smooth(a, g)
+    mu_b = _smooth(b, g)
+    var_a = _smooth(a * a, g) - mu_a**2
+    var_b = _smooth(b * b, g) - mu_b**2
+    cov = _smooth(a * b, g) - mu_a * mu_b
 
     c1 = (cfg.k1 * cfg.dynamic_range) ** 2
     c2 = (cfg.k2 * cfg.dynamic_range) ** 2

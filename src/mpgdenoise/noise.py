@@ -27,6 +27,8 @@ from .grid import DomainError, as_image
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INC = np.uint64(0xD1342543DE82EF95)
+#: most steps the sequential-search Poisson sampler takes for one pixel
+_INVERSION_CAP = 400
 
 
 @dataclass
@@ -63,21 +65,29 @@ def _pixel_keys(seed: int, n: int) -> np.ndarray:
 
 
 def _poisson_inversion(mean, keys, draw0):
-    """Sequential-search inversion; one uniform per pixel, means < 10 only."""
+    """Sequential-search inversion; one uniform per pixel, means < 10 only.
+
+    Step ``j`` adds the probability of ``k = j`` to each pixel's running CDF
+    until it passes the pixel's uniform.  Only the pixels still searching are
+    carried, as compacted arrays indexed by ``idx``; every one of them is at
+    the same ``j``, so a pixel that stops at step ``j`` has count ``j``.
+    """
     u = _uniforms(keys, draw0)
     k = np.zeros(mean.shape, dtype=np.float64)
-    p = np.exp(-mean)
-    cdf = p.copy()
-    active = u > cdf
+    p = np.exp(-mean)  # P(k = 0), also the CDF at k = 0
+    idx = np.flatnonzero(u > p)
+    m, p, cdf, u = mean[idx], p[idx], p[idx], u[idx]
     # mean < 10 puts the needed k far below this cap except with probability
     # on the order of the uniform's resolution (2^-53)
-    for _ in range(400):
-        if not active.any():
+    for j in range(1, _INVERSION_CAP + 1):
+        if idx.size == 0:
             break
-        k[active] += 1.0
-        p[active] *= mean[active] / k[active]
-        cdf[active] += p[active]
-        active = active & (u > cdf)
+        p *= m / j
+        cdf += p
+        keep = u > cdf
+        k[idx[~keep]] = j
+        idx, m, p, cdf, u = idx[keep], m[keep], p[keep], cdf[keep], u[keep]
+    k[idx] = _INVERSION_CAP
     return k
 
 

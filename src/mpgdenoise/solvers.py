@@ -354,16 +354,22 @@ def bcaf_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     return _w_update(state, cfg, cfg.alpha_w)
 
 
-def bcaf_p_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Vector shrinkage of the gradient split; expects ``state.u`` advanced."""
-    return soft_threshold(gradient(state.u) - state.lam_p / cfg.alpha_p, 1.0 / cfg.alpha_p)
+def bcaf_p_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray | None = None) -> np.ndarray:
+    """Vector shrinkage of the gradient split; expects ``state.u`` advanced.
+
+    ``grad_u`` is ``gradient(state.u)``; ``bcaf_solve`` passes the one it
+    computes per iteration, and it is taken here when omitted.
+    """
+    if grad_u is None:
+        grad_u = gradient(state.u)
+    return soft_threshold(grad_u - state.lam_p / cfg.alpha_p, 1.0 / cfg.alpha_p)
 
 
 def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray):
     """Dual ascent on both constraints; expects u, v, w, p advanced.
 
     ``grad_u`` is ``gradient(state.u)``, computed once per iteration by the
-    caller and shared with the trace diagnostics.
+    caller and shared with the p-step and the trace diagnostics.
     """
     lam_w = state.lam_w + cfg.alpha_w * (state.v * state.w - state.u)
     lam_p = state.lam_p + cfg.alpha_p * (state.p - grad_u)
@@ -379,10 +385,10 @@ def bcaf_solve(f, cfg: SolverConfig, truth=None):
     def step(k):
         nonlocal grad_u
         state.u = bcaf_u_step(state, f, cfg)
+        grad_u = gradient(state.u)
         state.v = bcaf_v_step(state, f, cfg)
         state.w = bcaf_w_step(state, cfg)
-        state.p = bcaf_p_step(state, cfg)
-        grad_u = gradient(state.u)
+        state.p = bcaf_p_step(state, cfg, grad_u)
         state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u)
         state.iters = k
         return state.u

@@ -187,3 +187,17 @@ def test_trace_rejects_short_row(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError):
         read_trace(p)
+
+
+@pytest.mark.parametrize(
+    "lineno, row",
+    [(2, "1,abc,12.0,13.0,,,,,0.01"), (3, "x,0.5,12.0,13.0,,,,,0.01")],
+)
+def test_trace_non_numeric_cell_is_format_error(tmp_path, lineno, row):
+    p = tmp_path / "trace.csv"
+    write_trace(p, _trace())
+    lines = p.read_text().splitlines()
+    lines[lineno - 1] = row
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=rf"trace\.csv: line {lineno}: "):
+        read_trace(p)

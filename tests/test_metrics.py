@@ -1,11 +1,17 @@
 """SNR, SSIM, and the model objective."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.signal import convolve2d
 
+import mpgdenoise
 from mpgdenoise.grid import DomainError, ShapeMismatchError, total_variation
 from mpgdenoise.metrics import SNR_CAP_DB, SSIMConfig, objective_H, snr, ssim
 
@@ -110,6 +116,63 @@ def test_ssim_window_larger_than_image():
 def test_ssim_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         ssim(np.zeros((12, 12)), np.zeros((12, 13)))
+
+
+def test_ssim_needs_2d_images():
+    with pytest.raises(ValueError):
+        ssim(np.zeros((3, 12, 12)), np.zeros((3, 12, 12)))
+
+
+def _ssim_2d_oracle(a, b, cfg):
+    """SSIM with the 2-D Gaussian window applied as one 2-D convolution."""
+    x = np.arange(cfg.window) - (cfg.window - 1) / 2.0
+    g = np.exp(-(x**2) / (2.0 * 1.5**2))
+    kern = np.outer(g, g) / np.outer(g, g).sum()
+
+    def smooth(z):
+        return convolve2d(z, kern, mode="valid")
+
+    mu_a, mu_b = smooth(a), smooth(b)
+    var_a = smooth(a * a) - mu_a**2
+    var_b = smooth(b * b) - mu_b**2
+    cov = smooth(a * b) - mu_a * mu_b
+    c1 = (cfg.k1 * cfg.dynamic_range) ** 2
+    c2 = (cfg.k2 * cfg.dynamic_range) ** 2
+    num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float(np.mean(num / den))
+
+
+@pytest.mark.parametrize("window", [3, 7, 11])
+@pytest.mark.parametrize("shape", [(11, 11), (11, 40), (33, 17), (64, 64)])
+def test_ssim_matches_2d_convolution(window, shape):
+    """The separable window gives the 2-D statistic, images the window size included."""
+    rng = np.random.default_rng(window * 1000 + shape[0] * 50 + shape[1])
+    cfg = SSIMConfig(window=window)
+    for _ in range(3):
+        a = rng.uniform(0, 1, shape)
+        b = np.clip(a + rng.normal(0, 0.3, shape), 0, 1)
+        assert abs(ssim(a, b, cfg) - _ssim_2d_oracle(a, b, cfg)) <= 1e-12
+        c = rng.uniform(0, 1, shape)
+        assert abs(ssim(a, c, cfg) - _ssim_2d_oracle(a, c, cfg)) <= 1e-12
+    edge = (window, window)
+    a, b = rng.uniform(0, 1, edge), rng.uniform(0, 1, edge)
+    assert abs(ssim(a, b, cfg) - _ssim_2d_oracle(a, b, cfg)) <= 1e-12
+
+
+def test_import_does_not_load_scipy_signal():
+    """scipy.signal costs about a second and 45 MB at import; nothing needs it."""
+    src = str(Path(mpgdenoise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, mpgdenoise; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

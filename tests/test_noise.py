@@ -1,9 +1,12 @@
 """Mixed Poisson-Gaussian synthesis: determinism, distribution, phantoms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from mpgdenoise import noise
 from mpgdenoise.grid import DomainError
 from mpgdenoise.metrics import snr
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
@@ -122,6 +125,45 @@ def test_poisson_counts_distribution(mean_target):
     keep = expected >= 5
     chi2_stat = float(np.sum((obs[keep] - expected[keep]) ** 2 / expected[keep]))
     assert chi2_stat < stats.chi2.ppf(1 - 1e-3, int(keep.sum()) - 1)
+
+
+@pytest.mark.parametrize(
+    "eta, sigma, digest",
+    [
+        # every Poisson mean below 10: sequential-search inversion only
+        (4.0, 0.0, "71e705042be8a7abc8471e332f42cd9c467a67430e4e11aeac1c5d66ed3884eb"),
+        # background means 4 (inversion), disk means 14 to 40 (rejection)
+        (40.0, 0.0, "5bfd8c0a81a3298fa55f7dd175628b788151a0efd95f8dd22c3cde736a9e06d7"),
+        (4.0, 0.05, "3de0b908c0c4a7a31c8d43b189234ae05e7218c55c34fed0a9dbd9d2469a6520"),
+    ],
+)
+def test_corrupt_bytes_are_pinned(eta, sigma, digest):
+    """The synthesizer is a pure function of its inputs; a rewrite keeps its bytes."""
+    f = corrupt(make_phantom("circles", 64, 64), NoiseSpec(eta=eta, sigma=sigma, seed=7))
+    assert hashlib.sha256(f.tobytes()).hexdigest() == digest
+
+
+def test_poisson_inversion_matches_per_pixel_search(monkeypatch):
+    """Compacted sampler vs. one pixel at a time, the 400-step cap included."""
+    rng = np.random.default_rng(8)
+    mean = rng.uniform(0.01, 9.99, 500)
+    u = rng.uniform(0.0, 1.0, mean.size)
+    u[:3] = 2.0  # above any CDF: these pixels search until the cap
+    u[3:6] = 1e-300  # below exp(-mean): count 0
+    monkeypatch.setattr(noise, "_uniforms", lambda keys, draw: u)
+    k = noise._poisson_inversion(mean, None, None)
+
+    p0 = np.exp(-mean)
+    expected = np.zeros(mean.size)
+    for i in range(mean.size):
+        j, p, cdf = 0, p0[i], p0[i]
+        while u[i] > cdf and j < 400:
+            j += 1
+            p *= mean[i] / j
+            cdf += p
+        expected[i] = j
+    assert np.array_equal(k, expected)
+    assert np.all(k[:3] == 400.0) and np.all(k[3:6] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,7 @@ def test_flux_p_step_matches_grid_search():
     cfg = SolverConfig(lambda1=1.0, lambda2=1.0, alpha_p=7.0)
     p = bcaf_p_step(st, cfg)
     z = gradient(st.u) - st.lam_p / cfg.alpha_p
+    assert np.array_equal(bcaf_p_step(st, cfg, gradient(st.u)), p)
 
     def search(z0, z1, lo0, hi0, lo1, hi1, n):
         px = np.linspace(lo0, hi0, n)
@@ -567,9 +568,9 @@ def test_every_solver_stops_at_the_first_small_step():
         assert [r.iter for r in trace] == list(range(1, len(trace) + 1))
 
 
-def test_bcaf_takes_the_gradient_of_u_twice_per_iteration(monkeypatch):
-    # one call inside bcaf_p_step, one shared by the multiplier step and the
-    # Lagrangian of the trace
+def test_bcaf_takes_the_gradient_of_u_once_per_iteration(monkeypatch):
+    # one call, shared by the p-step, the multiplier step and the Lagrangian
+    # of the trace
     calls = []
 
     def counting(u):
@@ -580,4 +581,4 @@ def test_bcaf_takes_the_gradient_of_u_twice_per_iteration(monkeypatch):
     f = corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
     _, trace = bcaf_solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=6))
     assert len(trace) == 6
-    assert len(calls) == 12
+    assert len(calls) == 6
