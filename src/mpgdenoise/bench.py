@@ -23,19 +23,24 @@ Any one numeric solver field may hold a space-separated list (``alpha = 20
 200 2000``), which expands into one labelled cell per value — that is how
 parameter-sweep curves (SNR versus alpha and friends) are produced.
 
-Cells are independent and may run in parallel worker threads (capped by the
-``MPG_THREADS`` environment variable; 1 forces serial execution).  Rows are
-gathered and written by the caller thread in a fixed order, so identical
-inputs give identical CSVs aside from the timing column.  A failing cell is
-recorded in its row's status column and does not stop the harness.
+Cells are independent and run in forked worker processes, at most one per
+usable core (``threads=``, else the ``MPG_THREADS`` environment variable,
+else all usable cores; 1 forces serial execution, as does a platform
+without the ``fork`` start method).  Processes, not threads: a cell is
+thousands of small numpy calls, and worker threads would spend their time
+passing the interpreter lock back and forth.  Rows are gathered and
+written by the caller in a fixed order, so identical inputs give identical
+CSVs aside from the timing column.  A failing cell is recorded in its row's
+status column and does not stop the harness.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,7 +159,17 @@ def _run_cell(truth, image_label, nspec, label, method, cfg, seed):
     return row
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on (CPU affinity and cpusets respected)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def thread_count(requested: int | None = None) -> int:
+    """Worker processes asked for: ``requested``, else ``MPG_THREADS``, else
+    all usable cores."""
     if requested is not None and requested > 0:
         return requested
     env = os.environ.get("MPG_THREADS", "")
@@ -165,7 +180,7 @@ def thread_count(requested: int | None = None) -> int:
             raise ValueError(f"MPG_THREADS must be an integer, got {env!r}") from exc
         if n > 0:
             return n
-    return os.cpu_count() or 1
+    return _usable_cores()
 
 
 def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
@@ -185,12 +200,15 @@ def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
         for (label, method, cfg) in spec.solvers
         for seed in spec.seeds
     ]
-    n_workers = max(1, min(thread_count(threads), len(cells)))
-    if n_workers == 1:
+    n_workers = max(1, min(thread_count(threads), len(cells), _usable_cores()))
+    if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         rows = [_run_cell(*cell) for cell in cells]
     else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(*c), cells))
+        # fork, not the platform default: the workers inherit the imported
+        # package instead of importing it again on every call
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
+            rows = list(pool.map(_run_cell, *zip(*cells), chunksize=1))
 
     # aggregate means over seeds for every (noise, solver) group, ok rows only
     aggregates = []

@@ -92,7 +92,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run an experiment grid from a spec file")
     p.add_argument("--spec", required=True)
     p.add_argument("--output-dir", help="override the spec's output_dir")
-    p.add_argument("--threads", type=int, help="worker threads (default MPG_THREADS or all cores)")
+    p.add_argument("--threads", type=int, help="worker processes (default MPG_THREADS or all usable cores)")
     return parser
 
 

@@ -109,16 +109,16 @@ def _write_pgm(path: Path, u: np.ndarray) -> None:
 
 
 def _read_float_text(text: str) -> np.ndarray:
-    lines = text.split("\n")
+    header, _, body = text.partition("\n")
     try:
-        w_tok, h_tok = lines[0].split()
+        w_tok, h_tok = header.split()
         width, height = int(w_tok), int(h_tok)
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError("malformed float-image header (want 'width height')") from exc
     if width < 1 or height < 1:
         raise FormatError("non-positive float-image dimensions")
     try:
-        vals = np.array(" ".join(lines[1:]).split(), dtype=np.float64)
+        vals = np.array(body.split(), dtype=np.float64)
     except ValueError as exc:
         raise FormatError("non-numeric sample in float image") from exc
     if vals.size != width * height:

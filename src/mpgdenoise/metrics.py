@@ -105,7 +105,7 @@ def ssim(a, b, cfg: SSIMConfig | None = None) -> float:
     return float(np.mean(num / den))
 
 
-def objective_H(u, v, f, cfg) -> float:
+def objective_H(u, v, f, cfg, tv: float | None = None) -> float:
     """Value of the denoising model at ``(u, v)`` given the observation ``f``.
 
     The three terms: quadratic fidelity ``(lambda1/2) ||f - v||^2`` between
@@ -114,7 +114,8 @@ def objective_H(u, v, f, cfg) -> float:
     estimate to ``v``, and the total variation of ``u``.  ``cfg`` supplies
     ``lambda1``, ``lambda2`` and the positivity floor ``epsilon``; a ``v``
     below the floor is infeasible and scores ``+inf``.  For reporting
-    stability ``u`` is floored at 1e-12 inside the logarithm only.
+    stability ``u`` is floored at 1e-12 inside the logarithm only.  ``tv``,
+    when given, is ``total_variation(u)`` already computed by the caller.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -126,4 +127,4 @@ def objective_H(u, v, f, cfg) -> float:
     gauss = 0.5 * cfg.lambda1 * float(np.sum((f - v) ** 2))
     log_ratio = np.log(np.maximum(u, 1e-12) / v)
     kl = cfg.lambda2 * float(np.sum(u - v * log_ratio - v))
-    return gauss + kl + total_variation(u)
+    return gauss + kl + (total_variation(u) if tv is None else tv)

@@ -190,14 +190,16 @@ def _run(cfg: SolverConfig, truth, u0: np.ndarray, step, diagnose):
 
 def _bilinear_diagnostics(state: SolverState, f, cfg: SolverConfig, grad_u=None):
     """Trace columns of a bilinear-split iterate.  With ``state.p`` set the
-    Lagrangian is the flux-split one (``grad_u`` is ``gradient(state.u)``)."""
+    Lagrangian is the flux-split one (``grad_u`` is ``gradient(state.u)``).
+    TV(u) is taken once and shared by the objective and the Lagrangian."""
     flux = state.p is not None
     alpha = cfg.alpha_w if flux else cfg.alpha
+    tv = float(magnitude(grad_u).sum()) if flux else total_variation(state.u)
     gap = state.v * state.w - state.u
     lagrangian = (
         0.5 * cfg.lambda1 * float(np.sum((f - state.v) ** 2))
         + cfg.lambda2 * float(np.sum(state.u - state.v * np.log(state.w) - state.v))
-        + (float(np.sum(magnitude(state.p))) if flux else total_variation(state.u))
+        + (float(np.sum(magnitude(state.p))) if flux else tv)
         + float(np.sum(state.lam_w * gap))
         + 0.5 * alpha * float(np.sum(gap * gap))
     )
@@ -209,7 +211,7 @@ def _bilinear_diagnostics(state: SolverState, f, cfg: SolverConfig, grad_u=None)
             + 0.5 * cfg.alpha_p * float(np.sum(gap_p * gap_p))
         )
     return (
-        objective_H(state.u, state.v, f, cfg),
+        objective_H(state.u, state.v, f, cfg, tv),
         lagrangian,
         float(np.min(state.w)),
         float(np.max(np.abs(state.lam_w * state.w - cfg.lambda2))),

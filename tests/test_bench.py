@@ -6,6 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import mpgdenoise.bench as bench
 import mpgdenoise.solvers as solvers
 from mpgdenoise.bench import (
     RESULT_HEADER,
@@ -60,6 +61,10 @@ GRID_SPEC = """\
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def strip(rows):
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +229,6 @@ def test_grid_rows_and_aggregates(tmp_path):
 
 
 def test_rows_deterministic_apart_from_timing(tmp_path):
-    def strip(rows):
-        return [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
-
     spec1 = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "o1"), "a.ini"))
     spec2 = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "o2"), "b.ini"))
     rows1 = read_rows(run_bench(spec1, threads=1))
@@ -331,3 +333,90 @@ def test_thread_count_resolution(monkeypatch):
         thread_count()
     monkeypatch.delenv("MPG_THREADS")
     assert thread_count() >= 1
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Pretend two usable cores, so the pool path runs on a one-core runner
+    too, and record the worker count of every process pool started."""
+    started = []
+    real = bench.ProcessPoolExecutor
+
+    def spy(max_workers, **kwargs):
+        started.append(max_workers)
+        return real(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(bench, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", spy)
+    return started
+
+
+SWEEP_SPEC = """\
+    [experiment]
+    image = circles
+    width = 64
+    height = 64
+    seeds = 0 1
+    output_dir = {out}
+
+    [noise.a]
+    eta = 4
+    sigma = 1e-2
+
+    [solver.bca]
+    method = bca
+    lambda1 = 8
+    lambda2 = 2.5
+    alpha = 20 200 2000
+    max_iters = 8
+
+    [solver.tvl2]
+    method = tvl2
+    lambda1 = 3
+    lambda2 = 1
+    max_iters = 8
+"""
+
+
+def test_pool_rows_match_serial_with_sweep_and_failure(tmp_path, monkeypatch, pools):
+    real = solvers.bca_solve
+
+    def fails_at_alpha_200(f, cfg, truth=None):
+        if cfg.alpha == 200.0:
+            raise FloatingPointError("diverged")
+        return real(f, cfg, truth)
+
+    monkeypatch.setattr(solvers, "bca_solve", fails_at_alpha_200)
+    rows = {}
+    for n in (1, 2):
+        spec = load_experiment(write_spec(tmp_path, SWEEP_SPEC.format(out=tmp_path / f"o{n}"), f"{n}.ini"))
+        rows[n] = read_rows(run_bench(spec, threads=n))
+    assert pools == [2]  # the serial run starts no pool
+    assert strip(rows[1]) == strip(rows[2])
+    status = {(r["solver"], r["seed"]): r["status"] for r in rows[2]}
+    assert status[("bca-alpha200", "0")] == "error: diverged"
+    assert status[("bca-alpha200", "mean")] == "ok (0/2)"
+    assert status[("bca-alpha2000", "1")] == "ok"
+    assert len(rows[2]) == 4 * 2 + 4
+
+
+def test_workers_capped_at_usable_cores(tmp_path, monkeypatch, pools):
+    monkeypatch.delenv("MPG_THREADS", raising=False)
+    assert thread_count() == 2             # all usable cores by default
+    assert thread_count(500) == 500        # an explicit request is returned as is
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
+    rows = read_rows(run_bench(spec, threads=500))
+    assert pools == [2]                    # but the pool never exceeds the cores
+    assert all(r["status"].startswith("ok") for r in rows)
+
+
+def test_serial_without_fork(tmp_path, monkeypatch, pools):
+    monkeypatch.setattr(bench.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
+    rows = read_rows(run_bench(spec, threads=2))
+    assert pools == []
+    assert all(r["status"].startswith("ok") for r in rows)

@@ -118,6 +118,29 @@ def test_float_text_rejects_malformed_files(tmp_path):
             read_image(p)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "malformed float-image header"),
+    ("2 2", "expected 4 samples, found 0"),
+    ("2 x\n1 2 3 4\n", "malformed float-image header"),
+    ("2 2 2\n1 2 3 4\n", "malformed float-image header"),
+    ("-1 2\n", "non-positive float-image dimensions"),
+    ("2 2\n1 2\n3 y\n", "non-numeric sample in float image"),
+    ("2 2\n1 2\n3\n", "expected 4 samples, found 3"),
+])
+def test_float_text_error_messages(tmp_path, text, message):
+    p = tmp_path / "bad.dat"
+    p.write_text(text)
+    with pytest.raises(FormatError, match=message):
+        read_image(p)
+
+
+def test_float_text_samples_may_span_lines(tmp_path):
+    # only whitespace separates samples; row breaks and CRLF endings are free
+    p = tmp_path / "u.dat"
+    p.write_bytes(b"3 2\r\n0.5 0.25\r\n0.125\n\n1 2   3\n")
+    assert np.array_equal(read_image(p), [[0.5, 0.25, 0.125], [1.0, 2.0, 3.0]])
+
+
 def test_read_image_missing_file_is_format_error(tmp_path):
     with pytest.raises(FormatError):
         read_image(tmp_path / "nope.dat")

@@ -10,6 +10,8 @@ system they claim to solve.
 import numpy as np
 import pytest
 
+import mpgdenoise.chambolle
+import mpgdenoise.grid
 import mpgdenoise.solvers as solvers
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
 from mpgdenoise.grid import DomainError, gradient, laplacian, magnitude
@@ -582,3 +584,25 @@ def test_bcaf_takes_the_gradient_of_u_once_per_iteration(monkeypatch):
     _, trace = bcaf_solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=6))
     assert len(trace) == 6
     assert len(calls) == 6
+
+
+@pytest.mark.parametrize("solve, per_iteration", [
+    # bca: one per Chambolle step (10 by default) plus one for TV(u), which
+    # the objective and the Lagrangian share; bcaf: the one shared gradient
+    (bca_solve, 11),
+    (bcaf_solve, 1),
+])
+def test_gradient_calls_per_iteration_including_diagnostics(monkeypatch, solve, per_iteration):
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return gradient(u)
+
+    # every module that looks the gradient up by name, diagnostics included
+    for module in (mpgdenoise.grid, mpgdenoise.chambolle, solvers):
+        monkeypatch.setattr(module, "gradient", counting)
+    f = corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    _, trace = solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5))
+    assert len(trace) == 5
+    assert len(calls) == 5 * per_iteration
