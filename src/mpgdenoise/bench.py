@@ -47,11 +47,8 @@ from pathlib import Path
 from .fileio import FormatError, read_image
 from .methods import METHODS, build_config, run_method
 from .metrics import snr, ssim
-from .noise import NoiseSpec, corrupt, make_phantom
+from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
 from .solvers import SolverConfig
-
-PHANTOM_KINDS = ("circles", "flat", "ramp", "checker")
-SOLVER_NAMES = tuple(METHODS)
 
 RESULT_HEADER = ["image", "eta", "sigma", "solver", "seed", "iters", "snr", "ssim", "seconds", "status"]
 
@@ -71,12 +68,14 @@ class ExperimentSpec:
             raise ValueError("experiment needs at least one noise spec")
         if not self.solvers:
             raise ValueError("experiment needs at least one solver")
+        if self.image_source in PHANTOM_KINDS:
+            make_phantom(self.image_source, self.width, self.height)  # checks the size
 
 
 def _expand_solver(label: str, raw: dict) -> list[tuple[str, str, SolverConfig]]:
     method = raw.pop("method", None)
-    if method not in SOLVER_NAMES:
-        raise ValueError(f"solver section [{label}] needs method in {SOLVER_NAMES}")
+    if method not in METHODS:
+        raise ValueError(f"solver section [{label}] needs method in {tuple(METHODS)}")
     source = f"[solver.{label}]"
     lists = {k: v.split() for k, v in raw.items() if len(v.split()) > 1}
     if len(lists) > 1:
@@ -91,13 +90,22 @@ def _expand_solver(label: str, raw: dict) -> list[tuple[str, str, SolverConfig]]
     return out
 
 
-def load_experiment(path) -> ExperimentSpec:
+def read_ini(path) -> configparser.ConfigParser:
+    """Parse the INI file ``path``; ``;`` and ``#`` also start inline comments.
+
+    An unreadable or malformed file raises :class:`FormatError`.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
-        raise FormatError(f"cannot parse experiment spec {path}: {exc}") from exc
+        raise FormatError(f"cannot parse {path}: {exc}") from exc
+    return parser
+
+
+def load_experiment(path) -> ExperimentSpec:
+    parser = read_ini(path)
     if "experiment" not in parser:
         raise FormatError(f"{path}: missing [experiment] section")
     exp = parser["experiment"]
@@ -131,6 +139,15 @@ def _load_truth(spec: ExperimentSpec):
     return read_image(spec.image_source)
 
 
+def ssim_or_none(u, truth) -> float | None:
+    """SSIM of ``u`` against ``truth``, or None when the image is smaller than
+    the SSIM window."""
+    try:
+        return ssim(u, truth)
+    except ValueError:
+        return None
+
+
 def _run_cell(truth, image_label, nspec, label, method, cfg, seed):
     row = {
         "image": image_label,
@@ -150,10 +167,8 @@ def _run_cell(truth, image_label, nspec, label, method, cfg, seed):
         row["iters"] = trace[-1].iter
         row["seconds"] = f"{trace[-1].seconds:.6f}"
         row["snr"] = f"{snr(u, truth):.6f}"
-        try:
-            row["ssim"] = f"{ssim(u, truth):.6f}"
-        except ValueError:
-            pass  # image smaller than the SSIM window; leave blank
+        s = ssim_or_none(u, truth)
+        row["ssim"] = "" if s is None else f"{s:.6f}"
     except Exception as exc:  # noqa: BLE001 - per-row failure is part of the contract
         row["status"] = f"error: {exc}"
     return row

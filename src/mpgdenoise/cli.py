@@ -17,22 +17,24 @@ spec file > defaults (``lambda1=8`` and ``lambda2=2.5`` here, the rest those
 of SolverConfig), and the resolved values are echoed as ``#`` comments at
 the top of the trace CSV.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
-files), 3 solver failure.
+Exit codes: 0 success; 1 bad argument (a flag or setting the command or the
+model rejects); 2 unreadable or malformed file or spec (an image, an INI
+file, a ``--truth`` image whose shape differs from ``--input``, a bench spec
+whose phantom is too small), or an output that cannot be written; 3 solver
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import sys
 
-from .bench import PHANTOM_KINDS, SOLVER_NAMES, load_experiment, run_bench, thread_count
+from .bench import load_experiment, read_ini, run_bench, ssim_or_none, thread_count
 from .fileio import FormatError, read_image, write_image, write_trace
 from .grid import DomainError
 from .methods import CONFIG_FIELDS, METHODS, build_config, config_values, run_method
-from .metrics import snr, ssim
-from .noise import NoiseSpec, corrupt, make_phantom
+from .metrics import snr
+from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
 from .solvers import SolverConfig, alpha_condition
 
 EXIT_OK = 0
@@ -41,13 +43,9 @@ EXIT_DATA = 2
 EXIT_SOLVER = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2); we own the codes
-        raise UsageError(message)
+    def error(self, message):  # argparse would sys.exit(2); main owns the codes
+        raise ValueError(message)
 
 
 # SolverConfig has no defaults for the model weights; the command line does
@@ -82,7 +80,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("denoise", help="run one solver on a noisy image")
     p.add_argument("--input", required=True)
-    p.add_argument("--solver", choices=SOLVER_NAMES, required=True)
+    p.add_argument("--solver", choices=METHODS, required=True)
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--trace", help="per-iteration CSV diagnostics")
     p.add_argument("--truth", help="clean image for SNR/SSIM reporting")
@@ -100,27 +98,17 @@ def _resolve_config(args) -> SolverConfig:
     """defaults < spec-file [solver] section < explicit flags"""
     values = dict(_WEIGHT_DEFAULTS)
     if args.spec:
-        ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        try:
-            with open(args.spec) as fh:
-                ini.read_file(fh)
-        except (OSError, configparser.Error) as exc:
-            raise FormatError(f"cannot parse {args.spec}: {exc}") from exc
+        ini = read_ini(args.spec)
         if "solver" in ini:
             values.update(ini["solver"])
     for key in CONFIG_FIELDS:
         if getattr(args, key) is not None:
             values[key] = getattr(args, key)
-    try:
-        return build_config(values, args.spec or "command line")
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return build_config(values, args.spec or "command line")
 
 
-def cmd_phantom(kind: str, width: int, height: int, output) -> int:
-    write_image(output, make_phantom(kind, width, height))
+def cmd_phantom(args) -> int:
+    write_image(args.output, make_phantom(args.kind, args.width, args.height))
     return EXIT_OK
 
 
@@ -128,14 +116,8 @@ def cmd_corrupt(args) -> int:
     if args.input:
         u = read_image(args.input)
     else:
-        try:
-            u = make_phantom(args.phantom, args.width, args.height)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-    try:
-        spec = NoiseSpec(eta=args.eta, sigma=args.sigma, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        u = make_phantom(args.phantom, args.width, args.height)
+    spec = NoiseSpec(eta=args.eta, sigma=args.sigma, seed=args.seed)
     try:
         f = corrupt(u, spec)
     except DomainError as exc:
@@ -148,6 +130,8 @@ def cmd_denoise(args) -> int:
     cfg = _resolve_config(args)
     f = read_image(args.input)
     truth = read_image(args.truth) if args.truth else None
+    if truth is not None and truth.shape != f.shape:
+        raise FormatError(f"--truth {args.truth} has shape {truth.shape} but --input {args.input} has {f.shape}")
 
     try:
         u, trace = run_method(args.solver, f, cfg, truth)
@@ -172,8 +156,9 @@ def cmd_denoise(args) -> int:
     line = f"{args.solver}: {last.iter} iterations, se={last.se:.3e}"
     if truth is not None:
         line += f", snr={snr(u, truth):.3f} dB"
-        if min(u.shape) >= 11:
-            line += f", ssim={ssim(u, truth):.4f}"
+        s = ssim_or_none(u, truth)
+        if s is not None:
+            line += f", ssim={s:.4f}"
     print(line)
     return EXIT_OK
 
@@ -182,44 +167,35 @@ def cmd_bench(args) -> int:
     spec = load_experiment(args.spec)
     if args.output_dir:
         spec.output_dir = args.output_dir
-    try:
-        n = thread_count(args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    path = run_bench(spec, threads=n)
+    path = run_bench(spec, threads=thread_count(args.threads))
     print(f"wrote {path}")
     return EXIT_OK
 
 
+_COMMANDS = {"phantom": cmd_phantom, "corrupt": cmd_corrupt, "denoise": cmd_denoise, "bench": cmd_bench}
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; returns the exit code.
+
+    Argument and setting errors (``ValueError``) exit 1, unreadable or
+    malformed files and specs (``FormatError``, ``OSError``) exit 2.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"mpg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "phantom":
-            try:
-                return cmd_phantom(args.kind, args.width, args.height, args.output)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-        if args.command == "corrupt":
-            return cmd_corrupt(args)
-        if args.command == "denoise":
-            return cmd_denoise(args)
-        return cmd_bench(args)
-    except UsageError as exc:
-        print(f"mpg: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FormatError, OSError) as exc:
         print(f"mpg: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as exc:
+        print(f"mpg: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ comment lines echoing the resolved configuration.
 from __future__ import annotations
 
 import csv
-from dataclasses import fields
+import re
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,9 @@ import numpy as np
 from .grid import as_image
 from .solvers import TraceRecord
 
-TRACE_HEADER = [f.name for f in fields(TraceRecord)]
+# column name -> type: int, float, or float | None (an empty cell)
+_TRACE_TYPES = typing.get_type_hints(TraceRecord)
+TRACE_HEADER = list(_TRACE_TYPES)
 
 
 class FormatError(ValueError):
@@ -37,57 +40,43 @@ class FormatError(ValueError):
 # PGM
 
 
-def _pgm_tokens(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c in b" \t\r\n":
-            i += 1
-        elif c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-        else:
-            j = i
-            while j < n and data[j : j + 1] not in b" \t\r\n":
-                j += 1
-            yield data[i:j], j
-            i = j
+# Whitespace and '#' comments, then a token: a run of non-whitespace that does
+# not start with '#' (so "12#3" is one token).  The lookaheads keep a
+# backtracking match from ending a comment or a token early.
+_PGM_SKIP = rb"(?:[ \t\r\n]|#[^\n]*(?![^\n]))*"
+_PGM_TOKEN = rb"([^ \t\r\n#][^ \t\r\n]*)(?![^ \t\r\n])"
+_PGM_HEADER = re.compile(_PGM_TOKEN + (_PGM_SKIP + _PGM_TOKEN) * 3)
+# matches wherever it is tried, capturing nothing only at the end of the data,
+# so findall takes one token at a time from where the last one ended
+_PGM_SAMPLE = re.compile(_PGM_SKIP + rb"(?:" + _PGM_TOKEN + rb"|\Z)")
 
 
 def _read_pgm(data: bytes) -> np.ndarray:
-    toks = _pgm_tokens(data)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise FormatError("malformed PGM header")
+    magic, *dims = header.groups()
     try:
-        magic, _ = next(toks)
-        (w_tok, _), (h_tok, _), (maxval_tok, end) = next(toks), next(toks), next(toks)
-        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except (StopIteration, ValueError) as exc:
+        width, height, maxval = map(int, dims)
+    except ValueError as exc:
         raise FormatError("malformed PGM header") from exc
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FormatError(f"bad PGM dimensions/maxval: {width}x{height}/{maxval}")
 
     if magic == b"P2":
+        tokens = [t for t in _PGM_SAMPLE.findall(data, header.end()) if t]
         try:
-            vals = [int(t) for t, _ in toks]
+            raw = np.array([int(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise FormatError("non-integer sample in ASCII PGM") from exc
-        if len(vals) != width * height:
-            raise FormatError(
-                f"expected {width * height} samples, found {len(vals)}"
-            )
-        raw = np.array(vals, dtype=np.float64)
+        if raw.size != width * height:
+            raise FormatError(f"expected {width * height} samples, found {raw.size}")
     elif magic == b"P5":
-        payload = data[end + 1 :]  # single whitespace byte after maxval
-        nbytes = 2 if maxval > 255 else 1
-        need = width * height * nbytes
-        if len(payload) < need:
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        offset = header.end() + 1  # single whitespace byte after maxval
+        if len(data) - offset < width * height * dtype.itemsize:
             raise FormatError("truncated PGM payload")
-        buf = np.frombuffer(payload[:need], dtype=np.uint8)
-        if nbytes == 2:
-            raw = (buf[0::2].astype(np.float64) * 256.0) + buf[1::2]
-        else:
-            raw = buf.astype(np.float64)
+        raw = np.frombuffer(data, dtype, count=width * height, offset=offset).astype(np.float64)
     else:
         raise FormatError(f"unsupported magic {magic!r} (PGM P5/P2 only)")
     if raw.max(initial=0.0) > maxval:
@@ -186,6 +175,12 @@ def write_trace(path, trace: list[TraceRecord], header: dict | None = None) -> N
             writer.writerow([r.iter] + [_cell(getattr(r, name)) for name in TRACE_HEADER[1:]])
 
 
+def _parse_cell(text: str, typ):
+    if typ in (int, float):
+        return typ(text)
+    return None if text == "" else float(text)
+
+
 def read_trace(path):
     """Read back a trace CSV; returns (records, header_comments).
 
@@ -210,17 +205,12 @@ def read_trace(path):
     if head != TRACE_HEADER:
         raise FormatError(f"{path}: unexpected trace header: {head}")
 
-    def opt(s):
-        return None if s == "" else float(s)
-
     for row in reader:
         where = f"{path}: line {linenos[reader.line_num - 1]}"
         if len(row) != len(TRACE_HEADER):
             raise FormatError(f"{where}: bad trace row: {row}")
         try:
-            # se, objective, lagrangian and seconds are always present
-            values = [*map(float, row[1:4]), *map(opt, row[4:8]), float(row[8])]
-            records.append(TraceRecord(int(row[0]), *values))
+            records.append(TraceRecord(*map(_parse_cell, row, _TRACE_TYPES.values())))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
     return records, header

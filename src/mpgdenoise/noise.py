@@ -155,6 +155,9 @@ def corrupt(u, spec: NoiseSpec) -> np.ndarray:
     return f.reshape(u.shape)
 
 
+PHANTOM_KINDS = ("circles", "flat", "ramp", "checker")
+
+
 def make_phantom(kind: str, width: int, height: int) -> np.ndarray:
     """Deterministic test image in [0, 1].
 

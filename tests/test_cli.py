@@ -203,7 +203,24 @@ def test_exit_codes_for_bad_data(tmp_path, capsys):
     no_eta.write_text("[experiment]\n[noise.a]\nsigma = 1\n"
                       "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
     assert main(["bench", "--spec", str(no_eta)]) == 2
-    assert capsys.readouterr().err.count("mpg:") >= 9
+    tiny = tmp_path / "tiny.ini"
+    tiny.write_text("[experiment]\nimage = circles\nwidth = 4\n[noise.a]\neta = 4\n"
+                    "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
+    assert main(["bench", "--spec", str(tiny)]) == 2                  # phantom too small
+    err = capsys.readouterr().err
+    assert err.count("mpg:") >= 10
+    assert f"mpg: {tiny}: phantom dimensions must be at least 8" in err
+
+
+def test_truth_of_another_shape_is_data_error(tmp_path, capsys):
+    noisy, _, _ = make_noisy(tmp_path)
+    truth = tmp_path / "truth.dat"
+    write_image(truth, make_phantom("flat", 16, 8))
+    assert main(["denoise", "--input", str(noisy), "--solver", "bca", "--truth", str(truth),
+                 "-o", str(tmp_path / "o.dat")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("mpg: ")
+    assert str(truth) in err and str(noisy) in err
 
 
 def test_malformed_solver_value_is_data_error(tmp_path, capsys):

@@ -6,6 +6,9 @@ against the format, not against the writer.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mpgdenoise.fileio import (
     TRACE_HEADER,
@@ -67,6 +70,33 @@ def test_pgm_rejects_malformed_files(tmp_path):
             read_image(p)
 
 
+@pytest.mark.parametrize("data, want", [
+    (b"P2\n2 1\n10\n3 7 # no final newline", [[0.3, 0.7]]),
+    (b"P2\n2 2\n10\n1 2 # after the last sample on a line\n3 4\n", [[0.1, 0.2], [0.3, 0.4]]),
+    (b"P2\n2 1\n10 # comment after maxval\n#\n5\t10\r\n", [[0.5, 1.0]]),
+    (b"P5\n2 1\n1000\n" + bytes([0x03, 0xE8, 0x01, 0xF4]), [[1.0, 0.5]]),  # 16-bit, maxval 1000
+])
+def test_pgm_edge_cases(tmp_path, data, want):
+    p = tmp_path / "e.pgm"
+    p.write_bytes(data)
+    assert np.array_equal(read_image(p), want)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P2\n2 1\n100\n12#3 5\n", "non-integer sample"),      # '#' inside a token
+    (b"P2\n2 1\n10\n3 # 7\n", "expected 2 samples, found 1"),  # sample inside a comment
+    (b"P2\n32 10\n", "malformed PGM header"),                # no maxval
+    (b"P2\n2 1\n# 10\n", "malformed PGM header"),             # maxval inside a comment
+    (b"P5 2 1 255", "truncated PGM payload"),
+    (b"P5x\n2 1\n255\n\0\0", "unsupported magic"),
+])
+def test_pgm_error_messages(tmp_path, data, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_image(p)
+
+
 def test_pgm_write_read_quantization(tmp_path):
     rng = np.random.default_rng(31)
     u = rng.random((7, 9))
@@ -101,6 +131,94 @@ def test_float_text_round_trip_is_bit_exact(tmp_path):
     p = tmp_path / "u.dat"
     write_image(p, u)
     assert np.array_equal(read_image(p), u)
+
+
+# any finite float64, with the edge values drawn often
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+_IMAGES = hnp.arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16)), elements=_FLOATS)
+_RUN_IN_TMP_PATH = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_RUN_IN_TMP_PATH
+@given(u=_IMAGES)
+def test_float_text_round_trip_property(tmp_path, u):
+    p = tmp_path / "u.dat"
+    write_image(p, u)
+    assert read_image(p).tobytes() == u.tobytes()  # bit-exact, sign of zero included
+
+
+@_RUN_IN_TMP_PATH
+@given(u=_IMAGES)
+def test_pgm_round_trip_property(tmp_path, u):
+    p = tmp_path / "u.pgm"
+    write_image(p, u)
+    assert np.array_equal(read_image(p), np.rint(np.clip(u, 0.0, 1.0) * 65535.0) / 65535.0)
+
+
+def _reference_p2(data):
+    """ASCII PGM read with a byte-at-a-time tokenizer, as the reader once did:
+    the image, or None where the reader must raise ``FormatError``."""
+    tokens, i = [], 0
+    while i < len(data):
+        if data[i : i + 1] in b" \t\r\n":
+            i += 1
+        elif data[i : i + 1] == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+        else:
+            j = i
+            while j < len(data) and data[j : j + 1] not in b" \t\r\n":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    try:
+        magic, width, height, maxval, *samples = tokens
+        width, height, maxval = int(width), int(height), int(maxval)
+        samples = [int(t) for t in samples]
+    except ValueError:
+        return None
+    if magic != b"P2" or not (width > 0 and height > 0 and 0 < maxval < 65536):
+        return None
+    if len(samples) != width * height or max(samples) > maxval:
+        return None
+    return np.array(samples, dtype=np.float64).reshape(height, width) / maxval
+
+
+# sample tokens: integers, some negative or above maxval, and two that are not integers
+_P2_SAMPLE = st.integers(-1, 16).map(lambda k: {15: b"12#3", 16: b"x"}.get(k, b"%d" % k))
+# whitespace, then maybe a comment; the last one may also end the file in a comment
+_P2_SEP = st.tuples(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r\n"]),
+    st.sampled_from([b"", b"", b"\t", b"# c 5\n", b"#9\n", b"\n#\n", b"# no newline"]),
+).map(b"".join)
+
+
+@st.composite
+def _ascii_pgms(draw):
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    count = width * height + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    tokens = [b"P2", b"%d" % width, b"%d" % height, b"%d" % draw(st.integers(1, 12))]
+    tokens += draw(st.lists(_P2_SAMPLE, min_size=count, max_size=count))
+    seps = draw(st.lists(_P2_SEP, min_size=len(tokens), max_size=len(tokens)))
+    return b"".join(t + s for t, s in zip(tokens, seps))
+
+
+@settings(_RUN_IN_TMP_PATH, max_examples=300)
+@given(data=_ascii_pgms())
+def test_ascii_pgm_matches_reference_tokenizer(tmp_path, data):
+    p = tmp_path / "r.pgm"
+    p.write_bytes(data)
+    want = _reference_p2(data)
+    if want is None:
+        with pytest.raises(FormatError):
+            read_image(p)
+    else:
+        assert np.array_equal(read_image(p), want)
 
 
 def test_float_text_rejects_malformed_files(tmp_path):
@@ -224,3 +342,28 @@ def test_trace_non_numeric_cell_is_format_error(tmp_path, lineno, row):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match=rf"trace\.csv: line {lineno}: "):
         read_trace(p)
+
+
+_OPTIONAL = st.none() | st.floats(allow_nan=False)
+_RECORDS = st.builds(
+    TraceRecord,
+    iter=st.integers(0, 10**6),
+    se=st.floats(allow_nan=False),
+    objective=st.floats(allow_nan=False),
+    lagrangian=st.floats(allow_nan=False),
+    min_w=_OPTIONAL,
+    identity_residual=_OPTIONAL,
+    constraint_residual=_OPTIONAL,
+    snr=_OPTIONAL,
+    seconds=st.floats(0.0, 1e6),
+)
+
+
+@_RUN_IN_TMP_PATH
+@given(records=st.lists(_RECORDS, max_size=5))
+def test_trace_round_trip_property(tmp_path, records):
+    p = tmp_path / "trace.csv"
+    write_trace(p, records)
+    back, header = read_trace(p)
+    assert header == {}
+    assert repr(back) == repr(records)  # exact, None in the optional columns included
