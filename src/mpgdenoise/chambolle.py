@@ -28,7 +28,14 @@ from .grid import DomainError, divergence, gradient, magnitude, total_variation
 
 @dataclass
 class ChambolleConfig:
-    """Inner-loop controls for the dual-projection TV solver."""
+    """Inner-loop controls for the dual-projection TV solver.
+
+    ``inner_iters`` = 10 is the depth of the baselines ``tvl2``/``tvkl``; a
+    ``SolverConfig`` that sets no ``ChambolleConfig`` runs ``bca`` at its own
+    depth of 2 (see :mod:`mpgdenoise.solvers`).  Warm-started depths should
+    be even: at ``tau = 1/4`` the iteration has a period-2 mode, which an
+    odd depth leaves oscillating from one call to the next.
+    """
 
     inner_iters: int = 10
     tau: float = 0.25

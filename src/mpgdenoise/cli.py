@@ -9,8 +9,9 @@ Subcommands::
     mpg bench --spec experiment.ini
 
 Solver flags mirror the SolverConfig fields (``--inner-iters`` sets the
-ChambolleConfig one).  For the single-fidelity baselines the weight comes
-from the matching flag: ``--lambda1`` for tvl2 (quadratic fidelity),
+ChambolleConfig one; omitted, each method runs its own TV inner depth, 2 for
+bca and 10 for the baselines).  For the single-fidelity baselines the weight
+comes from the matching flag: ``--lambda1`` for tvl2 (quadratic fidelity),
 ``--lambda2`` for tvkl (Poisson fidelity).  ``denoise`` can also read a
 ``[solver]`` section from an INI file via ``--spec``; precedence is flags >
 spec file > defaults (``lambda1=8`` and ``lambda2=2.5`` here, the rest those
@@ -27,6 +28,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import load_experiment, read_ini, run_bench, ssim_or_none, thread_count
@@ -126,12 +128,26 @@ def cmd_corrupt(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(path) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise, leaving no new
+    file behind; an existing file is opened for appending, so it is kept."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_denoise(args) -> int:
     cfg = _resolve_config(args)
     f = read_image(args.input)
     truth = read_image(args.truth) if args.truth else None
     if truth is not None and truth.shape != f.shape:
         raise FormatError(f"--truth {args.truth} has shape {truth.shape} but --input {args.input} has {f.shape}")
+    # an unwritable output fails now, not after the whole solve
+    for path in (args.output, args.trace):
+        if path:
+            _check_writable(path)
 
     try:
         u, trace = run_method(args.solver, f, cfg, truth)
@@ -143,7 +159,8 @@ def cmd_denoise(args) -> int:
     if args.trace:
         header = {"command": "denoise", "solver": args.solver, "input": str(args.input)}
         header.update(
-            (k, f"{v:g}" if isinstance(v, float) else str(v)) for k, v in config_values(cfg).items()
+            (k, f"{v:g}" if isinstance(v, float) else str(v))
+            for k, v in config_values(cfg, args.solver).items()
         )
         penalty = METHODS[args.solver].penalty
         if penalty is not None:

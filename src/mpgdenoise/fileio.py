@@ -56,19 +56,18 @@ def _read_pgm(data: bytes) -> np.ndarray:
     if header is None:
         raise FormatError("malformed PGM header")
     magic, *dims = header.groups()
-    try:
-        width, height, maxval = map(int, dims)
-    except ValueError as exc:
-        raise FormatError("malformed PGM header") from exc
+    # bytes.isdigit is ASCII-only; int() alone would take "+5", "-1" and "1_0"
+    if not all(map(bytes.isdigit, dims)):
+        raise FormatError("malformed PGM header")
+    width, height, maxval = map(int, dims)
     if width < 1 or height < 1 or not 0 < maxval < 65536:
         raise FormatError(f"bad PGM dimensions/maxval: {width}x{height}/{maxval}")
 
     if magic == b"P2":
         tokens = [t for t in _PGM_SAMPLE.findall(data, header.end()) if t]
-        try:
-            raw = np.array([int(t) for t in tokens], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError("non-integer sample in ASCII PGM") from exc
+        if not all(map(bytes.isdigit, tokens)):
+            raise FormatError("non-integer sample in ASCII PGM (digits only)")
+        raw = np.array([int(t) for t in tokens], dtype=np.float64)
         if raw.size != width * height:
             raise FormatError(f"expected {width * height} samples, found {raw.size}")
     elif magic == b"P5":

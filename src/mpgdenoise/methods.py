@@ -26,17 +26,20 @@ class Method:
     ``weight`` names the config field passed as a baseline's single fidelity
     weight, ``clamp`` feeds the solver ``max(f, 0)`` instead of ``f``, and
     ``penalty`` names the field that :func:`~mpgdenoise.solvers.alpha_condition`
-    checks.
+    checks.  ``inner_iters`` is the TV inner depth the solver runs when the
+    config sets none (``bcaf`` has no TV inner loop and keeps the
+    ``ChambolleConfig`` default for the echo).
     """
 
     solve: str
     weight: str | None = None
     clamp: bool = False
     penalty: str | None = None
+    inner_iters: int = ChambolleConfig.inner_iters
 
 
 METHODS = {
-    "bca": Method("bca_solve", penalty="alpha"),
+    "bca": Method("bca_solve", penalty="alpha", inner_iters=solvers.BCA_INNER_ITERS),
     "bcaf": Method("bcaf_solve", penalty="alpha_w"),
     # the baselines take one fidelity weight: the quadratic one for tvl2, the
     # Poisson one for tvkl, whose fidelity needs a nonnegative observation
@@ -66,10 +69,11 @@ CONFIG_FIELDS["inner_iters"] = typing.get_type_hints(ChambolleConfig)["inner_ite
 def build_config(values: dict, source: str) -> SolverConfig:
     """Build a SolverConfig from ``values`` (field name -> value or its text).
 
-    Omitted fields keep their dataclass defaults.  An unknown or missing
-    field, or a value that does not parse as its field's type, raises
-    :class:`FormatError` naming ``source``; a value the config rejects raises
-    its ``ValueError``.
+    Omitted fields keep their dataclass defaults; an omitted ``inner_iters``
+    leaves ``chambolle`` unset, so each method runs its own depth.  An
+    unknown or missing field, or a value that does not parse as its field's
+    type, raises :class:`FormatError` naming ``source``; a value the config
+    rejects raises its ``ValueError``.
     """
     parsed = {}
     for key, value in values.items():
@@ -86,13 +90,16 @@ def build_config(values: dict, source: str) -> SolverConfig:
     ]
     if missing:
         raise FormatError(f"{source}: solver settings need {' and '.join(missing)}")
-    inner = parsed.pop("inner_iters", ChambolleConfig.inner_iters)
-    return SolverConfig(chambolle=ChambolleConfig(inner_iters=inner), **parsed)
+    if "inner_iters" in parsed:
+        parsed["chambolle"] = ChambolleConfig(inner_iters=parsed.pop("inner_iters"))
+    return SolverConfig(**parsed)
 
 
-def config_values(cfg: SolverConfig) -> dict:
-    """The settable fields of ``cfg`` in :data:`CONFIG_FIELDS` order."""
+def config_values(cfg: SolverConfig, method: str) -> dict:
+    """The settable fields of ``cfg`` in :data:`CONFIG_FIELDS` order, with the
+    inner depth that ``method`` runs under ``cfg``."""
+    inner = METHODS[method].inner_iters if cfg.chambolle is None else cfg.chambolle.inner_iters
     return {
-        name: cfg.chambolle.inner_iters if name == "inner_iters" else getattr(cfg, name)
+        name: inner if name == "inner_iters" else getattr(cfg, name)
         for name in CONFIG_FIELDS
     }

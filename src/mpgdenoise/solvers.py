@@ -13,7 +13,13 @@ a TV-L2 proximal step or a pointwise closed form:
 
 * ``bca_solve`` splits only the bilinear constraint; its image update is a
   TV-L2 problem solved by the warm-started dual projection of
-  :mod:`mpgdenoise.chambolle`.
+  :mod:`mpgdenoise.chambolle`.  The solve is inexact on purpose: the dual
+  only has to track a target that moves a little per outer iteration, so
+  ``BCA_INNER_ITERS = 2`` dual steps are run by default (inexact ADMM,
+  Eckstein & Bertsekas 1992).  Odd depths stall: at ``tau = 1/4`` the dual
+  iteration has a period-2 mode, so after an odd number of steps ``u``
+  alternates between outer iterations and the relative step never falls
+  to ``xi``.
 * ``bcaf_solve`` additionally splits the image gradient (``p = grad u``), so
   its image update becomes a screened Poisson system solved exactly by one
   2-D cosine transform, with no inner iterations, and the TV term reduces to
@@ -21,7 +27,9 @@ a TV-L2 proximal step or a pointwise closed form:
 
 Two single-fidelity baselines with the same trace interface are included:
 ``tv_l2_solve`` (quadratic fidelity) and ``tv_kl_solve`` (Poisson fidelity
-via an ADMM split with a pointwise quadratic-root update).
+via an ADMM split with a pointwise quadratic-root update).  Their TV blocks
+run ``ChambolleConfig().inner_iters`` (10) dual steps by default.  An
+explicit ``SolverConfig.chambolle`` sets the depth of every method.
 
 Each solver supplies only its outer iteration (calling the step functions
 below) and its diagnostics to one driver, ``_run``, which owns the loop, the
@@ -49,7 +57,7 @@ raw bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,6 +84,9 @@ class SolverConfig:
     penalty of the TV+KL baseline), while ``alpha_w``/``alpha_p`` are the
     two penalties of the flux-split variant.  ``epsilon`` is the positivity
     floor on ``v``, ``xi`` the relative-step stopping tolerance.
+    ``chambolle`` sets the TV dual-projection inner loop; ``None`` runs each
+    method at its own depth (``BCA_INNER_ITERS`` for ``bca``, the
+    ``ChambolleConfig`` default for ``tvl2``/``tvkl``).
     """
 
     lambda1: float
@@ -86,7 +97,7 @@ class SolverConfig:
     epsilon: float = 1e-6
     xi: float = 5e-4
     max_iters: int = 1000
-    chambolle: ChambolleConfig = field(default_factory=ChambolleConfig)
+    chambolle: ChambolleConfig | None = None
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "alpha", "alpha_w", "alpha_p", "epsilon", "xi"):
@@ -235,16 +246,23 @@ def bca_init(f: np.ndarray) -> SolverState:
     )
 
 
+# bca's TV dual steps per outer iteration when cfg.chambolle is None: even,
+# because odd depths leave u on the dual iteration's period-2 mode
+BCA_INNER_ITERS = 2
+
+
 def bca_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     """TV-L2 image update.
 
     Minimizes ``TV(u) + lambda2*sum(u) - <lam_w, u> + (alpha/2)||v.*w - u||^2``
     over ``u``, i.e. a TV proximal step at weight ``alpha`` around the target
-    ``v .* w + lam_w/alpha - lambda2/alpha``.  The TV dual field is persisted
-    into ``state.dual`` for the next warm start.
+    ``v .* w + lam_w/alpha - lambda2/alpha``, inexactly: ``cfg.chambolle``
+    dual steps, or ``BCA_INNER_ITERS`` when it is ``None``.  The TV dual
+    field is persisted into ``state.dual`` for the next warm start.
     """
     target = state.v * state.w + state.lam_w / cfg.alpha - cfg.lambda2 / cfg.alpha
-    u, state.dual = tv_l2_denoise(target, cfg.alpha, cfg.chambolle, warm_dual=state.dual)
+    chambolle = cfg.chambolle or ChambolleConfig(inner_iters=BCA_INNER_ITERS)
+    u, state.dual = tv_l2_denoise(target, cfg.alpha, chambolle, warm_dual=state.dual)
     return u
 
 
@@ -406,8 +424,9 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
     """TV denoising with quadratic fidelity ``(lam/2)||u - f||^2 + TV(u)``.
 
     One outer iteration is one warm-started block of ``cfg.chambolle``
-    dual-projection steps, so the whole run composes into a single long
-    high-accuracy solve while still emitting per-block trace records.
+    dual-projection steps (``ChambolleConfig()`` when ``None``), so the whole
+    run composes into a single long high-accuracy solve while still emitting
+    per-block trace records.
     """
     f = as_image(f)
     if not lam > 0.0:

@@ -65,7 +65,7 @@ def test_denoise_with_truth_and_trace(tmp_path, capsys):
     records, header = read_trace(trace_path)
     assert header["solver"] == "bca"
     assert header["lambda1"] == "8" and header["alpha"] == "200"
-    assert header["inner_iters"] == "10"
+    assert header["inner_iters"] == "2"  # bca's own depth; the baselines keep 10
     assert "alpha_condition" in header
     assert "bound" in header["alpha_condition"]
     assert all(r.snr is not None for r in records)
@@ -137,6 +137,7 @@ def test_denoise_baselines_run(tmp_path):
                      flag, value, "-o", str(out), "--trace", str(trace_path),
                      "--max-iters", "40"]) == 0
         records, header = read_trace(trace_path)
+        assert header["inner_iters"] == "10"
         assert "alpha_condition" not in header  # bilinear-split diagnostic only
         assert records[0].min_w is None
 
@@ -157,6 +158,10 @@ def test_denoise_config_precedence(tmp_path):
     assert header["lambda1"] == "5"       # flag beats spec file
     assert header["xi"] == "0.001"        # spec file beats default
     assert header["lambda2"] == "2.5"     # untouched default
+    assert header["inner_iters"] == "2"   # bca's own depth
+    assert main(["denoise", "--input", str(noisy), "--solver", "bca", "--inner-iters", "10",
+                 "-o", str(tmp_path / "o.dat"), "--trace", str(trace_path)]) == 0
+    assert read_trace(trace_path)[1]["inner_iters"] == "10"  # an explicit depth wins
 
 
 def test_exit_codes_for_bad_usage(tmp_path, capsys):
@@ -221,6 +226,31 @@ def test_truth_of_another_shape_is_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("mpg: ")
     assert str(truth) in err and str(noisy) in err
+
+
+def test_unwritable_outputs_fail_before_the_solve(tmp_path, capsys, monkeypatch):
+    noisy, _, _ = make_noisy(tmp_path)
+    calls = []
+
+    def recording_solve(*args, **kwargs):
+        calls.append(args)
+        return bca_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "bca_solve", recording_solve)
+    out = tmp_path / "o.dat"
+    missing = tmp_path / "absent" / "t.csv"
+    for argv, path in ((["-o", str(tmp_path)], tmp_path),
+                       (["-o", str(out), "--trace", str(missing)], missing)):
+        assert main(["denoise", "--input", str(noisy), "--solver", "bca", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("mpg: ") and str(path) in err
+    assert calls == []
+    assert not out.exists()  # the check leaves no empty output behind
+    # writable paths still reach the solver, and an existing output is replaced
+    out.write_text("old")
+    assert main(["denoise", "--input", str(noisy), "--solver", "bca", "--max-iters", "2",
+                 "-o", str(out), "--trace", str(tmp_path / "t.csv")]) == 0
+    assert len(calls) == 1 and read_image(out).shape == (16, 16)
 
 
 def test_malformed_solver_value_is_data_error(tmp_path, capsys):

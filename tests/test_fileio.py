@@ -89,6 +89,13 @@ def test_pgm_edge_cases(tmp_path, data, want):
     (b"P2\n2 1\n# 10\n", "malformed PGM header"),             # maxval inside a comment
     (b"P5 2 1 255", "truncated PGM payload"),
     (b"P5x\n2 1\n255\n\0\0", "unsupported magic"),
+    # only ASCII digits: no sign, no underscore, in the samples or the header
+    (b"P2 3 1 10\n-1 5 10\n", "non-integer sample"),
+    (b"P2 3 1 10\n1 +5 10\n", "non-integer sample"),
+    (b"P2 3 1 10\n1 5 1_0\n", "non-integer sample"),
+    (b"P2 +3 1 10\n1 5 10\n", "malformed PGM header"),
+    (b"P5 3 1 2_55\n\0\0\0", "malformed PGM header"),
+    (b"P2 3 1 -10\n1 5 10\n", "malformed PGM header"),
 ])
 def test_pgm_error_messages(tmp_path, data, message):
     p = tmp_path / "bad.pgm"
@@ -176,12 +183,11 @@ def _reference_p2(data):
                 j += 1
             tokens.append(data[i:j])
             i = j
-    try:
-        magic, width, height, maxval, *samples = tokens
-        width, height, maxval = int(width), int(height), int(maxval)
-        samples = [int(t) for t in samples]
-    except ValueError:
+    if len(tokens) < 4 or not all(t.isdigit() for t in tokens[1:]):  # ASCII digits only
         return None
+    magic, width, height, maxval, *samples = tokens
+    width, height, maxval = int(width), int(height), int(maxval)
+    samples = [int(t) for t in samples]
     if magic != b"P2" or not (width > 0 and height > 0 and 0 < maxval < 65536):
         return None
     if len(samples) != width * height or max(samples) > maxval:
@@ -189,8 +195,11 @@ def _reference_p2(data):
     return np.array(samples, dtype=np.float64).reshape(height, width) / maxval
 
 
-# sample tokens: integers, some negative or above maxval, and two that are not integers
-_P2_SAMPLE = st.integers(-1, 16).map(lambda k: {15: b"12#3", 16: b"x"}.get(k, b"%d" % k))
+# sample tokens: integers, some negative or above maxval, two that are not
+# integers, and two that Python's int() would take but a PGM cannot hold
+_P2_SAMPLE = st.integers(-1, 18).map(
+    lambda k: {15: b"12#3", 16: b"x", 17: b"+5", 18: b"1_0"}.get(k, b"%d" % k)
+)
 # whitespace, then maybe a comment; the last one may also end the file in a comment
 _P2_SEP = st.tuples(
     st.sampled_from([b" ", b"\t", b"\n", b"\r\n"]),

@@ -17,14 +17,18 @@ def test_config_fields_follow_the_dataclasses():
         "inner_iters": int,
     }
     cfg = build_config({"lambda1": "3", "lambda2": 1.5}, "test")
-    assert cfg == SolverConfig(lambda1=3.0, lambda2=1.5)
-    assert config_values(cfg) == {
+    assert cfg == SolverConfig(lambda1=3.0, lambda2=1.5) and cfg.chambolle is None
+    # with no depth set, the echo is the depth the method runs at
+    assert config_values(cfg, "bca") == {
         "lambda1": 3.0, "lambda2": 1.5, "alpha": 200.0, "alpha_w": 200.0,
         "alpha_p": 50.0, "epsilon": 1e-6, "xi": 5e-4, "max_iters": 1000,
-        "inner_iters": 10,
+        "inner_iters": 2,
     }
+    assert [config_values(cfg, m)["inner_iters"] for m in ("bcaf", "tvl2", "tvkl")] == [10, 10, 10]
     cfg = build_config({"lambda1": "3", "lambda2": "1", "max_iters": "7", "inner_iters": "4"}, "test")
     assert cfg.max_iters == 7 and cfg.chambolle == ChambolleConfig(inner_iters=4)
+    # an explicit depth wins for every method
+    assert {config_values(cfg, m)["inner_iters"] for m in METHODS} == {4}
 
 
 def test_build_config_errors():

@@ -7,6 +7,8 @@ updates are checked against long-run reference solves and against the linear
 system they claim to solve.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -587,9 +589,10 @@ def test_bcaf_takes_the_gradient_of_u_once_per_iteration(monkeypatch):
 
 
 @pytest.mark.parametrize("solve, per_iteration", [
-    # bca: one per Chambolle step (10 by default) plus one for TV(u), which
-    # the objective and the Lagrangian share; bcaf: the one shared gradient
-    (bca_solve, 11),
+    # bca: one per Chambolle step (BCA_INNER_ITERS = 2 by default) plus one
+    # for TV(u), which the objective and the Lagrangian share; bcaf: the one
+    # shared gradient
+    (bca_solve, 3),
     (bcaf_solve, 1),
 ])
 def test_gradient_calls_per_iteration_including_diagnostics(monkeypatch, solve, per_iteration):
@@ -606,3 +609,41 @@ def test_gradient_calls_per_iteration_including_diagnostics(monkeypatch, solve, 
     _, trace = solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5))
     assert len(trace) == 5
     assert len(calls) == 5 * per_iteration
+
+
+def test_bca_default_depth_stops_with_the_deep_solve():
+    """Two warm-started dual steps per iteration meet the xi stop within two
+    iterations of ten, at the same SNR.  An odd depth fails here: the dual
+    iteration's period-2 mode keeps u alternating and the run hits max_iters."""
+    truth = make_phantom("circles", 64, 64)
+    f = corrupt(truth, NoiseSpec(eta=16.0, sigma=1e-2, seed=4))
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5)
+    assert cfg.chambolle is None and solvers.BCA_INNER_ITERS == 2
+    u, trace = bca_solve(f, cfg)
+    deep = SolverConfig(lambda1=8.0, lambda2=2.5, chambolle=ChambolleConfig(inner_iters=10))
+    u10, trace10 = bca_solve(f, deep)
+    assert len(trace) < cfg.max_iters and trace[-1].se <= cfg.xi
+    assert abs(len(trace) - len(trace10)) <= 2
+    assert abs(snr(u, truth) - snr(u10, truth)) < 0.05
+
+
+@pytest.mark.parametrize("solve, weight", [(tv_l2_solve, 8.0), (tv_kl_solve, 2.5)])
+def test_baselines_default_depth_is_ten(solve, weight):
+    f = np.maximum(corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3)), 0.0)
+    u, trace = solve(f, weight, SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=20))
+    cfg10 = SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=20, chambolle=ChambolleConfig(inner_iters=10))
+    u10, trace10 = solve(f, weight, cfg10)
+    assert u.tobytes() == u10.tobytes()
+    assert [r.lagrangian for r in trace] == [r.lagrangian for r in trace10]
+
+
+def test_bca_explicit_depth_ten_bytes_are_pinned():
+    """An explicit ChambolleConfig wins over bca's own depth: at inner_iters=10
+    the output keeps the bytes it had when 10 was bca's default."""
+    f = corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=40, chambolle=ChambolleConfig(inner_iters=10))
+    u, trace = bca_solve(f, cfg)
+    assert len(trace) == 40
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "0eb39f8da852b35280b6b1b6b7de1ca30e76736a0d9903b888d9d802692f0560"
+    )
