@@ -68,6 +68,8 @@ class ExperimentSpec:
             raise ValueError("experiment needs at least one noise spec")
         if not self.solvers:
             raise ValueError("experiment needs at least one solver")
+        if not self.seeds:
+            raise ValueError("experiment needs at least one seed")
         if self.image_source in PHANTOM_KINDS:
             make_phantom(self.image_source, self.width, self.height)  # checks the size
 

@@ -60,6 +60,11 @@ def tv_l2_denoise(g, weight, cfg=None, warm_dual=None):
     Returns:
         (u, dual): the primal estimate ``g - (1/weight) * div(dual)`` and the
         final dual field for later warm starts.
+
+    ``warm_dual`` is copied, never written.  The work arrays are allocated
+    once per call and every step runs in place on them, with the operations
+    in the order of the update formula, so the result is bit-identical to
+    evaluating that formula with fresh arrays.
     """
     if cfg is None:
         cfg = ChambolleConfig()
@@ -71,12 +76,29 @@ def tv_l2_denoise(g, weight, cfg=None, warm_dual=None):
     else:
         q = np.array(warm_dual, dtype=np.float64, copy=True)
 
+    tau = cfg.tau
     wg = weight * g
+    # work arrays: z = div q - weight*g (then scratch for t_y^2), t = grad z,
+    # m = 1 + tau*|t|
+    z = np.empty(g.shape)
+    t = np.empty((2,) + g.shape)
+    m = np.empty(g.shape)
     for _ in range(cfg.inner_iters):
-        t = gradient(divergence(q) - wg)
-        q = (q + cfg.tau * t) / (1.0 + cfg.tau * magnitude(t))
-    u = g - divergence(q) / weight
-    return u, q
+        divergence(q, out=z)
+        z -= wg
+        gradient(z, out=t)
+        np.square(t[0], out=m)
+        m += np.square(t[1], out=z)
+        np.sqrt(m, out=m)
+        m *= tau
+        m += 1.0
+        # q <- (q + tau*t) / m, in the same rounding order as that expression
+        t *= tau
+        q += t
+        q /= m
+    divergence(q, out=z)
+    z /= weight
+    return g - z, q
 
 
 def tv_l2_energy(u, g, weight) -> float:

@@ -43,34 +43,51 @@ def as_image(a) -> np.ndarray:
     return arr
 
 
-def gradient(u: np.ndarray) -> np.ndarray:
-    """Forward-difference gradient; last row/column of differences are zero."""
-    q = np.zeros((2,) + u.shape)
-    q[0, :, :-1] = u[:, 1:] - u[:, :-1]
-    q[1, :-1, :] = u[1:, :] - u[:-1, :]
+def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Forward-difference gradient; last row/column of differences are zero.
+
+    Each entry is written once, into a new ``(2, H, W)`` array or into
+    ``out`` when given (which must not overlap ``u``); returns that array.
+    """
+    q = np.empty((2,) + u.shape) if out is None else out
+    np.subtract(u[:, 1:], u[:, :-1], out=q[0, :, :-1])
+    q[0, :, -1] = 0.0
+    np.subtract(u[1:, :], u[:-1, :], out=q[1, :-1, :])
+    q[1, -1, :] = 0.0
     return q
 
 
-def divergence(q: np.ndarray) -> np.ndarray:
+def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Discrete divergence, the exact negative adjoint of :func:`gradient`.
 
     Backward differences in the interior; at the near edge the component
     itself, at the far edge its negation from one cell in.  The far-edge
     entry of ``q`` never contributes, mirroring the zero the gradient puts
-    there.
+    there.  The x part is written into a new ``(H, W)`` array, or into
+    ``out`` when given (which must not overlap ``q``), and the y part is
+    added to it in place; returns that array.
     """
     qx, qy = q[0], q[1]
     h, w = qx.shape
-    d = np.zeros_like(qx)
+    d = np.empty((h, w)) if out is None else out
     if w > 1:
-        d[:, 0] += qx[:, 0]
-        d[:, 1 : w - 1] += qx[:, 1 : w - 1] - qx[:, 0 : w - 2]
-        d[:, w - 1] += -qx[:, w - 2]
+        d[:, 0] = qx[:, 0]
+        np.subtract(qx[:, 1 : w - 1], qx[:, 0 : w - 2], out=d[:, 1 : w - 1])
+        # a plain assignment: numpy 2.4 np.negative into a strided column
+        # view gives wrong values for some widths (8 among them)
+        d[:, w - 1] = -qx[:, w - 2]
+    else:
+        d[...] = 0.0
     if h > 1:
         d[0, :] += qy[0, :]
         d[1 : h - 1, :] += qy[1 : h - 1, :] - qy[0 : h - 2, :]
-        d[h - 1, :] += -qy[h - 2, :]
+        d[h - 1, :] -= qy[h - 2, :]
     return d
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product ``<a, b>`` of two same-shape arrays, in one pass."""
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def magnitude(q: np.ndarray) -> np.ndarray:

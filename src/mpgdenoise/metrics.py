@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import DomainError, ShapeMismatchError, total_variation
+from .grid import DomainError, ShapeMismatchError, dot, total_variation
 
 #: SNR values are capped here so an exact reconstruction reports a finite number.
 SNR_CAP_DB = 300.0
@@ -124,7 +124,12 @@ def objective_H(u, v, f, cfg, tv: float | None = None) -> float:
         raise ShapeMismatchError("u, v, f must share one shape")
     if np.min(v) < cfg.epsilon:
         return math.inf
-    gauss = 0.5 * cfg.lambda1 * float(np.sum((f - v) ** 2))
-    log_ratio = np.log(np.maximum(u, 1e-12) / v)
-    kl = cfg.lambda2 * float(np.sum(u - v * log_ratio - v))
-    return gauss + kl + (total_variation(u) if tv is None else tv)
+    resid = f - v
+    gauss = 0.5 * cfg.lambda1 * dot(resid, resid)
+    kl = np.maximum(u, 1e-12)  # becomes u - v log(u/v) - v
+    kl /= v
+    np.log(kl, out=kl)
+    kl *= v
+    np.subtract(u, kl, out=kl)
+    kl -= v
+    return gauss + cfg.lambda2 * float(kl.sum()) + (total_variation(u) if tv is None else tv)

@@ -16,12 +16,26 @@ pointwise division and an inverse transform.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.fft import dctn, idctn
 
 
 def _neg_laplacian_eigenvalues(n: int) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
+
+
+@functools.lru_cache(maxsize=4)
+def _operator_eigenvalues(shape: tuple[int, int], alpha_w: float, alpha_p: float) -> np.ndarray:
+    """Eigenvalues of ``alpha_w I - alpha_p Lap`` in the 2-D DCT-II basis,
+    computed once per ``(shape, alpha_w, alpha_p)`` and returned read-only."""
+    h, w = shape
+    eig = alpha_w + alpha_p * (
+        _neg_laplacian_eigenvalues(h)[:, None] + _neg_laplacian_eigenvalues(w)[None, :]
+    )
+    eig.flags.writeable = False
+    return eig
 
 
 def solve_screened_poisson(rhs, alpha_w, alpha_p):
@@ -42,8 +56,5 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
     if not alpha_p >= 0.0:
         raise ValueError("alpha_p must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
-    h, w = rhs.shape
-    eig = alpha_w + alpha_p * (
-        _neg_laplacian_eigenvalues(h)[:, None] + _neg_laplacian_eigenvalues(w)[None, :]
-    )
+    eig = _operator_eigenvalues(rhs.shape, alpha_w, alpha_p)
     return idctn(dctn(rhs, type=2, norm="ortho") / eig, type=2, norm="ortho")

@@ -56,6 +56,7 @@ raw bound.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -66,6 +67,7 @@ from .grid import (
     DomainError,
     as_image,
     divergence,
+    dot,
     gradient,
     ln,
     magnitude,
@@ -202,31 +204,39 @@ def _run(cfg: SolverConfig, truth, u0: np.ndarray, step, diagnose):
 def _bilinear_diagnostics(state: SolverState, f, cfg: SolverConfig, grad_u=None):
     """Trace columns of a bilinear-split iterate.  With ``state.p`` set the
     Lagrangian is the flux-split one (``grad_u`` is ``gradient(state.u)``).
-    TV(u) is taken once and shared by the objective and the Lagrangian."""
+    TV(u) is taken once and shared by the objective and the Lagrangian, and
+    so is ``||v .* w - u||^2`` by the Lagrangian and the constraint residual."""
     flux = state.p is not None
     alpha = cfg.alpha_w if flux else cfg.alpha
-    tv = float(magnitude(grad_u).sum()) if flux else total_variation(state.u)
-    gap = state.v * state.w - state.u
+    u, v, w = state.u, state.v, state.w
+    tv = float(magnitude(grad_u).sum()) if flux else total_variation(u)
+    gap = v * w
+    gap -= u
+    gap_sq = dot(gap, gap)
+    resid = f - v
+    kl = np.log(w)  # becomes u - v log w - v
+    kl *= v
+    np.subtract(u, kl, out=kl)
+    kl -= v
     lagrangian = (
-        0.5 * cfg.lambda1 * float(np.sum((f - state.v) ** 2))
-        + cfg.lambda2 * float(np.sum(state.u - state.v * np.log(state.w) - state.v))
-        + (float(np.sum(magnitude(state.p))) if flux else tv)
-        + float(np.sum(state.lam_w * gap))
-        + 0.5 * alpha * float(np.sum(gap * gap))
+        0.5 * cfg.lambda1 * dot(resid, resid)
+        + cfg.lambda2 * float(kl.sum())
+        + (float(magnitude(state.p).sum()) if flux else tv)
+        + dot(state.lam_w, gap)
+        + 0.5 * alpha * gap_sq
     )
     if flux:
         gap_p = state.p - grad_u
-        lagrangian = (
-            lagrangian
-            + float(np.sum(state.lam_p * gap_p))
-            + 0.5 * cfg.alpha_p * float(np.sum(gap_p * gap_p))
-        )
+        lagrangian += dot(state.lam_p, gap_p) + 0.5 * cfg.alpha_p * dot(gap_p, gap_p)
+    identity = state.lam_w * w
+    identity -= cfg.lambda2
+    u_norm = math.sqrt(dot(u, u))
     return (
-        objective_H(state.u, state.v, f, cfg, tv),
+        objective_H(u, v, f, cfg, tv),
         lagrangian,
-        float(np.min(state.w)),
-        float(np.max(np.abs(state.lam_w * state.w - cfg.lambda2))),
-        _rel_norm(gap, state.u),
+        float(np.min(w)),
+        float(np.max(np.abs(identity, out=identity))),
+        math.sqrt(gap_sq) / (u_norm if u_norm > 0.0 else 1.0),
     )
 
 
@@ -290,12 +300,22 @@ def _w_update(state, cfg, alpha):
     if np.min(state.v) < cfg.epsilon:
         raise DomainError("v entries below the positivity floor; v update is broken")
     u, v, lambda2 = state.u, state.v, cfg.lambda2
-    x = u - state.lam_w / alpha
-    s = 4.0 * lambda2 * v / alpha
-    root = np.sqrt(x * x + s)
+    x = state.lam_w / alpha
+    np.subtract(u, x, out=x)
+    root = 4.0 * lambda2 * v / alpha
+    root += np.square(x)
+    np.sqrt(root, out=root)
     # the two expressions are algebraically equal; picking by the sign of x
-    # avoids the catastrophic cancellation of (x + root) when x is negative
-    return np.where(x >= 0.0, (x + root) / (2.0 * v), (2.0 * lambda2 / alpha) / (root - x))
+    # avoids the catastrophic cancellation of (x + root) when x is negative.
+    # Each is evaluated only where it is picked.
+    pos = x >= 0.0
+    neg = ~pos
+    w = np.empty_like(x)
+    np.add(x, root, out=w, where=pos)
+    np.divide(w, 2.0 * v, out=w, where=pos)
+    np.subtract(root, x, out=root, where=neg)
+    np.divide(2.0 * lambda2 / alpha, root, out=w, where=neg)
+    return w
 
 
 def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:

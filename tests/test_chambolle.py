@@ -114,6 +114,16 @@ def test_warm_start_composes_exactly():
     assert np.array_equal(d2, d20)
 
 
+def test_warm_dual_is_not_written():
+    rng = np.random.default_rng(10)
+    g = rng.uniform(0, 1, (9, 8))
+    _, warm = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=3))
+    before = warm.tobytes()
+    _, dual = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), warm_dual=warm)
+    assert warm.tobytes() == before
+    assert dual is not warm and not np.shares_memory(dual, warm)
+
+
 def test_energy_monotone_per_step_at_half_tau():
     """Primal energy is non-increasing per dual step at tau = 0.125.
 

@@ -303,6 +303,30 @@ def test_bench_command(tmp_path, capsys):
     assert len(csv_path.read_text().splitlines()) == 1 + 2 + 1  # header, rows, mean
 
 
+def test_bench_rejects_empty_seeds(tmp_path, capsys):
+    spec = tmp_path / "exp.ini"
+    spec.write_text(textwrap.dedent(f"""\
+        [experiment]
+        image = circles
+        width = 16
+        height = 16
+        seeds =
+        output_dir = {tmp_path / "results"}
+
+        [noise.a]
+        eta = 4
+
+        [solver.s]
+        method = tvl2
+        lambda1 = 3
+        lambda2 = 1
+    """))
+    assert main(["bench", "--spec", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mpg: {spec}: experiment needs at least one seed\n"
+    assert not (tmp_path / "results").exists()
+
+
 def test_bench_rejects_bad_thread_env(tmp_path, monkeypatch):
     spec = tmp_path / "exp.ini"
     spec.write_text("[experiment]\n[noise.a]\neta = 4\n[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")

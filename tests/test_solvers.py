@@ -17,6 +17,7 @@ import mpgdenoise.grid
 import mpgdenoise.solvers as solvers
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
 from mpgdenoise.grid import DomainError, gradient, laplacian, magnitude
+from mpgdenoise.methods import run_method
 from mpgdenoise.metrics import snr
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
 from mpgdenoise.solvers import (
@@ -32,9 +33,12 @@ from mpgdenoise.solvers import (
     bca_v_step,
     bca_w_step,
     bcaf_init,
+    bcaf_multiplier_step,
     bcaf_p_step,
     bcaf_solve,
     bcaf_u_step,
+    bcaf_v_step,
+    bcaf_w_step,
     kl_z_update,
     tv_kl_solve,
     tv_l2_solve,
@@ -467,6 +471,94 @@ def test_kl_z_update_zero_count_is_clipped_linear():
 
 
 # ---------------------------------------------------------------------------
+# trace diagnostics against the textbook formulas
+
+
+def textbook_grad(u):
+    d = np.zeros((2,) + u.shape)
+    d[0, :, :-1] = np.diff(u, axis=1)
+    d[1, :-1, :] = np.diff(u, axis=0)
+    return d
+
+
+def textbook_diagnostics(state, f, cfg):
+    """objective_H, the augmented Lagrangian, min w, the identity residual and
+    the relative constraint residual, each written out from its definition."""
+    u, v, w = state.u, state.v, state.w
+    gauss = 0.5 * cfg.lambda1 * np.sum((f - v) ** 2)
+    grad_u = textbook_grad(u)
+    tv = np.sum(np.sqrt(grad_u[0] ** 2 + grad_u[1] ** 2))
+    objective = gauss + cfg.lambda2 * np.sum(u - v * np.log(np.maximum(u, 1e-12) / v) - v) + tv
+    gap = v * w - u
+    if state.p is None:
+        alpha, tv_term, flux_terms = cfg.alpha, tv, 0.0
+    else:
+        gap_p = state.p - grad_u
+        alpha = cfg.alpha_w
+        tv_term = np.sum(np.sqrt(state.p[0] ** 2 + state.p[1] ** 2))
+        flux_terms = np.sum(state.lam_p * gap_p) + 0.5 * cfg.alpha_p * np.sum(gap_p**2)
+    lagrangian = (
+        gauss + cfg.lambda2 * np.sum(u - v * np.log(w) - v) + tv_term
+        + np.sum(state.lam_w * gap) + 0.5 * alpha * np.sum(gap**2) + flux_terms
+    )
+    return (
+        objective,
+        lagrangian,
+        np.min(w),
+        np.max(np.abs(state.lam_w * w - cfg.lambda2)),
+        np.sqrt(np.sum(gap**2)) / np.sqrt(np.sum(u**2)),
+    )
+
+
+def _bca_step(state, f, cfg):
+    state.u = bca_u_step(state, f, cfg)
+    state.v = bca_v_step(state, f, cfg)
+    state.w = bca_w_step(state, cfg)
+    state.lam_w = bca_multiplier_step(state, cfg)
+
+
+def _bcaf_step(state, f, cfg):
+    state.u = bcaf_u_step(state, f, cfg)
+    grad_u = gradient(state.u)
+    state.v = bcaf_v_step(state, f, cfg)
+    state.w = bcaf_w_step(state, cfg)
+    state.p = bcaf_p_step(state, cfg, grad_u)
+    state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u)
+    return grad_u
+
+
+@pytest.mark.parametrize("init, step", [(bca_init, _bca_step), (bcaf_init, _bcaf_step)])
+def test_diagnostics_match_textbook_formulas(init, step):
+    f = corrupt(make_phantom("circles", 24, 20), NoiseSpec(eta=4.0, sigma=1e-2, seed=6))
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5)
+    state = init(f)
+    for k in range(1, 5):
+        grad_u = step(state, f, cfg)
+        state.iters = k
+        got = solvers._bilinear_diagnostics(state, f, cfg, grad_u)
+        want = textbook_diagnostics(state, f, cfg)
+        assert all(type(x) is float for x in got)
+        names = ("objective", "lagrangian", "min_w", "identity", "constraint")
+        for name, value, expected in zip(names, got, want):
+            assert abs(value - expected) <= 1e-12 * abs(expected), (k, name, value, expected)
+
+
+@pytest.mark.parametrize("solve", [bca_solve, bcaf_solve, tv_l2_solve, tv_kl_solve])
+def test_trace_columns_are_python_floats(solve):
+    truth = make_phantom("circles", 16, 16)
+    f = np.maximum(corrupt(truth, NoiseSpec(eta=4.0, sigma=1e-2, seed=3)), 0.0)
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=3)
+    args = (f, cfg) if solve in (bca_solve, bcaf_solve) else (f, 8.0, cfg)
+    _, trace = solve(*args, truth=truth)
+    for rec in trace:
+        assert type(rec.iter) is int
+        for name in ("se", "objective", "lagrangian", "min_w", "identity_residual",
+                     "constraint_residual", "snr", "seconds"):
+            value = getattr(rec, name)
+            assert value is None or type(value) is float, (name, type(value))
+
+
+# ---------------------------------------------------------------------------
 # full solves
 
 
@@ -577,9 +669,9 @@ def test_bcaf_takes_the_gradient_of_u_once_per_iteration(monkeypatch):
     # of the trace
     calls = []
 
-    def counting(u):
+    def counting(u, out=None):
         calls.append(u)
-        return gradient(u)
+        return gradient(u, out=out)
 
     monkeypatch.setattr(solvers, "gradient", counting)
     f = corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
@@ -598,9 +690,9 @@ def test_bcaf_takes_the_gradient_of_u_once_per_iteration(monkeypatch):
 def test_gradient_calls_per_iteration_including_diagnostics(monkeypatch, solve, per_iteration):
     calls = []
 
-    def counting(u):
+    def counting(u, out=None):
         calls.append(u)
-        return gradient(u)
+        return gradient(u, out=out)
 
     # every module that looks the gradient up by name, diagnostics included
     for module in (mpgdenoise.grid, mpgdenoise.chambolle, solvers):
@@ -647,3 +739,19 @@ def test_bca_explicit_depth_ten_bytes_are_pinned():
     assert hashlib.sha256(u.tobytes()).hexdigest() == (
         "0eb39f8da852b35280b6b1b6b7de1ca30e76736a0d9903b888d9d802692f0560"
     )
+
+
+@pytest.mark.parametrize("method, iters, digest", [
+    ("bca", 148, "1cc36efd622bd71b26910021a02b733e4a289df6341dfb322f9e9fa8390c01ec"),
+    ("bcaf", 150, "717dbcbb25d9e26883cbe49194c0a957671fb52d6ec9ab781ac1e14fb36fc3be"),
+    ("tvl2", 10, "2b57220fe9b167dec491c2ab766513152bdbc209a55ff4ca892bf5e873916123"),
+    ("tvkl", 162, "7ad1d7eeacb495e8134fbdd4c4f4a0c12ff85e3d6e6dee3733ce6fed63f8289f"),
+])
+def test_default_config_bytes_are_pinned(method, iters, digest):
+    """Each method at its own defaults (bca at TV depth 2) keeps its output
+    bytes and its iteration count; a change to a kernel that moves one
+    rounding shows here."""
+    f = corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    u, trace = run_method(method, f, SolverConfig(lambda1=8.0, lambda2=2.5))
+    assert len(trace) == iters
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
