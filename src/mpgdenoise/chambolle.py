@@ -106,15 +106,18 @@ def tv_l2_energy(u, g, weight) -> float:
     return 0.5 * weight * float(np.sum((u - g) ** 2)) + total_variation(u)
 
 
-def soft_threshold(q, eta):
+def soft_threshold(q, eta, out=None):
     """Pointwise vector shrinkage: max(0, |q| - eta) * q / |q|.
 
     Pixels with ``|q| <= eta`` map to the zero vector (including ``|q| = 0``,
     where the direction is taken to be zero).  ``eta = 0`` is the identity.
+    The result goes into a new array, or into ``out`` when given (which may
+    be ``q`` itself).
     """
     if eta < 0.0:
         raise DomainError("shrinkage threshold must be nonnegative")
     mag = magnitude(q)
-    shrink = np.maximum(0.0, mag - eta)
-    scl = shrink / np.where(mag > 0.0, mag, 1.0)
-    return q * scl
+    scl = mag - eta
+    np.maximum(0.0, scl, out=scl)
+    scl /= np.where(mag > 0.0, mag, 1.0)
+    return np.multiply(q, scl, out=out)

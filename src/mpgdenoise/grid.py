@@ -92,7 +92,9 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
 
 def magnitude(q: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean length of a vector field: sqrt(qx^2 + qy^2)."""
-    return np.sqrt(q[0] ** 2 + q[1] ** 2)
+    m = np.square(q[0])
+    m += np.square(q[1])
+    return np.sqrt(m, out=m)
 
 
 def laplacian(u: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def ssim(a, b, cfg: SSIMConfig | None = None) -> float:
     return float(np.mean(num / den))
 
 
-def objective_H(u, v, f, cfg, tv: float | None = None) -> float:
+def objective_H(u, v, f, cfg, tv: float | None = None, resid_sq: float | None = None) -> float:
     """Value of the denoising model at ``(u, v)`` given the observation ``f``.
 
     The three terms: quadratic fidelity ``(lambda1/2) ||f - v||^2`` between
@@ -114,8 +114,9 @@ def objective_H(u, v, f, cfg, tv: float | None = None) -> float:
     estimate to ``v``, and the total variation of ``u``.  ``cfg`` supplies
     ``lambda1``, ``lambda2`` and the positivity floor ``epsilon``; a ``v``
     below the floor is infeasible and scores ``+inf``.  For reporting
-    stability ``u`` is floored at 1e-12 inside the logarithm only.  ``tv``,
-    when given, is ``total_variation(u)`` already computed by the caller.
+    stability ``u`` is floored at 1e-12 inside the logarithm only.  ``tv``
+    and ``resid_sq``, when given, are ``total_variation(u)`` and
+    ``||f - v||^2`` already computed by the caller.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
@@ -124,8 +125,10 @@ def objective_H(u, v, f, cfg, tv: float | None = None) -> float:
         raise ShapeMismatchError("u, v, f must share one shape")
     if np.min(v) < cfg.epsilon:
         return math.inf
-    resid = f - v
-    gauss = 0.5 * cfg.lambda1 * dot(resid, resid)
+    if resid_sq is None:
+        resid = f - v
+        resid_sq = dot(resid, resid)
+    gauss = 0.5 * cfg.lambda1 * resid_sq
     kl = np.maximum(u, 1e-12)  # becomes u - v log(u/v) - v
     kl /= v
     np.log(kl, out=kl)

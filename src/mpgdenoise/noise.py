@@ -18,6 +18,7 @@ value never perturbs another pixel's draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be nonnegative")
+        # NaN fails every comparison, so each test is written to fail on it
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError("eta must be finite and positive")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

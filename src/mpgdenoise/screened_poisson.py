@@ -57,4 +57,6 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
         raise ValueError("alpha_p must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
     eig = _operator_eigenvalues(rhs.shape, alpha_w, alpha_p)
-    return idctn(dctn(rhs, type=2, norm="ortho") / eig, type=2, norm="ortho")
+    coeffs = dctn(rhs, type=2, norm="ortho")
+    coeffs /= eig
+    return idctn(coeffs, type=2, norm="ortho")

@@ -37,6 +37,16 @@ clock, the per-iteration :class:`TraceRecord` list and the one stop rule:
 the relative step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or
 ``max_iters`` outer iterations are done.
 
+Within one outer iteration of a bilinear solver each full-size quantity is
+formed once and shared with the trace diagnostics.  The multiplier step
+writes the constraint gap ``v .* w - u`` (and for ``bcaf`` also
+``p - grad u``) into arrays that the diagnostics read.  ``bcaf`` takes
+``grad u`` once for its p-step, multiplier step and diagnostics.  The
+diagnostics take the checked ``ln(w)``, and the next v-step reuses it;
+``lambda1 * f`` is formed once per solve; the objective and the Lagrangian
+share ``||f - v||^2`` and TV(u).  The step functions take these arrays as
+optional arguments and form them themselves when called alone.
+
 A known identity of the bilinear split: after every multiplier update,
 ``Lambda .* w = lambda2`` holds exactly (the w update picks the positive
 root of a quadratic whose stationarity condition says precisely this).  The
@@ -201,41 +211,53 @@ def _run(cfg: SolverConfig, truth, u0: np.ndarray, step, diagnose):
     return u, trace
 
 
-def _bilinear_diagnostics(state: SolverState, f, cfg: SolverConfig, grad_u=None):
+def _bilinear_diagnostics(
+    state: SolverState, f, cfg: SolverConfig, grad_u=None, gap=None, gap_p=None, log_w=None
+):
     """Trace columns of a bilinear-split iterate.  With ``state.p`` set the
     Lagrangian is the flux-split one (``grad_u`` is ``gradient(state.u)``).
-    TV(u) is taken once and shared by the objective and the Lagrangian, and
-    so is ``||v .* w - u||^2`` by the Lagrangian and the constraint residual."""
+
+    The optional arrays are the ones the iteration already formed from the
+    same iterate: ``gap = v .* w - u`` and ``gap_p = p - grad_u`` (both from
+    the multiplier step) and ``log_w = ln(w)``; each is formed here when
+    omitted.  TV(u) is taken once and shared by the objective and the
+    Lagrangian, and so are ``||v .* w - u||^2`` by the Lagrangian and the
+    constraint residual, and ``||f - v||^2`` by the objective and the
+    Lagrangian."""
     flux = state.p is not None
     alpha = cfg.alpha_w if flux else cfg.alpha
     u, v, w = state.u, state.v, state.w
     tv = float(magnitude(grad_u).sum()) if flux else total_variation(u)
-    gap = v * w
-    gap -= u
+    if gap is None:
+        gap = v * w
+        gap -= u
     gap_sq = dot(gap, gap)
-    resid = f - v
-    kl = np.log(w)  # becomes u - v log w - v
-    kl *= v
-    np.subtract(u, kl, out=kl)
-    kl -= v
+    if log_w is None:
+        log_w = ln(w)
+    work = f - v
+    resid_sq = dot(work, work)
+    np.multiply(log_w, v, out=work)  # becomes u - v log w - v
+    np.subtract(u, work, out=work)
+    work -= v
     lagrangian = (
-        0.5 * cfg.lambda1 * dot(resid, resid)
-        + cfg.lambda2 * float(kl.sum())
+        0.5 * cfg.lambda1 * resid_sq
+        + cfg.lambda2 * float(work.sum())
         + (float(magnitude(state.p).sum()) if flux else tv)
         + dot(state.lam_w, gap)
         + 0.5 * alpha * gap_sq
     )
     if flux:
-        gap_p = state.p - grad_u
+        if gap_p is None:
+            gap_p = state.p - grad_u
         lagrangian += dot(state.lam_p, gap_p) + 0.5 * cfg.alpha_p * dot(gap_p, gap_p)
-    identity = state.lam_w * w
-    identity -= cfg.lambda2
+    np.multiply(state.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
+    work -= cfg.lambda2
     u_norm = math.sqrt(dot(u, u))
     return (
-        objective_H(u, v, f, cfg, tv),
+        objective_H(u, v, f, cfg, tv, resid_sq),
         lagrangian,
         float(np.min(w)),
-        float(np.max(np.abs(identity, out=identity))),
+        float(np.max(np.abs(work, out=work))),
         math.sqrt(gap_sq) / (u_norm if u_norm > 0.0 else 1.0),
     )
 
@@ -276,24 +298,39 @@ def bca_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     return u
 
 
-def _v_update(u, w, lam_w, f, cfg, alpha, first_iteration):
-    log_w = ln(w)  # also rejects nonpositive w, which means a broken w update
-    numer = cfg.lambda1 * f + cfg.lambda2 * log_w + alpha * w * u
-    if first_iteration:
+def _v_update(state, f, cfg, alpha, log_w, lambda1_f):
+    u, w = state.u, state.w
+    if log_w is None:
+        log_w = ln(w)  # also rejects nonpositive w, which means a broken w update
+    if lambda1_f is None:
+        lambda1_f = cfg.lambda1 * f
+    # numer = lambda1*f + lambda2*log w + alpha*w*u, den = lambda1 + alpha*w*w,
+    # in place but in the rounding order of those expressions
+    numer = np.multiply(log_w, cfg.lambda2)
+    numer += lambda1_f
+    aw = np.multiply(w, alpha)
+    den = aw * w
+    aw *= u
+    numer += aw
+    if state.iters == 0:
         # before the first multiplier update the identity lam_w .* w = lambda2
         # does not hold yet, so the full stationarity numerator is needed
-        numer = numer + cfg.lambda2 - w * lam_w
-    return np.maximum(cfg.epsilon, numer / (cfg.lambda1 + alpha * w * w))
+        numer += cfg.lambda2
+        numer -= np.multiply(w, state.lam_w, out=aw)
+    den += cfg.lambda1
+    numer /= den
+    return np.maximum(cfg.epsilon, numer, out=numer)
 
 
-def bca_v_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
+def bca_v_step(state: SolverState, f, cfg: SolverConfig, log_w=None, lambda1_f=None) -> np.ndarray:
     """Pointwise Gaussian-part update; expects ``state.u`` already advanced.
 
     Minimizer of the per-pixel strongly convex objective
     ``(lambda1/2)(f - v)^2 - lambda2*(v log w + v) + (alpha/2)(v w + lam_w/alpha - u)^2``
-    clamped to the feasible set ``v >= epsilon``.
+    clamped to the feasible set ``v >= epsilon``.  ``log_w`` (``ln(state.w)``)
+    and ``lambda1_f`` (``lambda1 * f``) are computed here when omitted.
     """
-    return _v_update(state.u, state.w, state.lam_w, f, cfg, cfg.alpha, state.iters == 0)
+    return _v_update(state, f, cfg, cfg.alpha, log_w, lambda1_f)
 
 
 def _w_update(state, cfg, alpha):
@@ -302,20 +339,22 @@ def _w_update(state, cfg, alpha):
     u, v, lambda2 = state.u, state.v, cfg.lambda2
     x = state.lam_w / alpha
     np.subtract(u, x, out=x)
-    root = 4.0 * lambda2 * v / alpha
-    root += np.square(x)
+    root = np.multiply(v, 4.0 * lambda2)
+    root /= alpha
+    s = np.square(x)
+    root += s
     np.sqrt(root, out=root)
-    # the two expressions are algebraically equal; picking by the sign of x
-    # avoids the catastrophic cancellation of (x + root) when x is negative.
-    # Each is evaluated only where it is picked.
-    pos = x >= 0.0
-    neg = ~pos
-    w = np.empty_like(x)
-    np.add(x, root, out=w, where=pos)
-    np.divide(w, 2.0 * v, out=w, where=pos)
-    np.subtract(root, x, out=root, where=neg)
-    np.divide(2.0 * lambda2 / alpha, root, out=w, where=neg)
-    return w
+    # w = (x + root) / (2v) = (2 lambda2/alpha) / (root - x): algebraically
+    # equal, and picking by the sign of x avoids the catastrophic cancellation
+    # of (x + root) when x is negative.  root + |x| is exactly x + root where
+    # x >= 0 and root - x where x < 0 (a - b == a + (-b) in IEEE arithmetic),
+    # so both quotients come from that one array.
+    np.abs(x, out=s)
+    s += root
+    np.multiply(v, 2.0, out=root)
+    np.divide(s, root, out=root)
+    np.divide(2.0 * lambda2 / alpha, s, out=s)
+    return np.where(x >= 0.0, root, s)
 
 
 def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -328,9 +367,22 @@ def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     return _w_update(state, cfg, cfg.alpha)
 
 
-def bca_multiplier_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Dual ascent on the bilinear constraint; expects u, v, w advanced."""
-    return state.lam_w + cfg.alpha * (state.v * state.w - state.u)
+def _ascent(lam, alpha, gap):
+    """``lam + alpha * gap`` into a new array."""
+    out = np.multiply(gap, alpha)
+    out += lam
+    return out
+
+
+def bca_multiplier_step(state: SolverState, cfg: SolverConfig, gap=None) -> np.ndarray:
+    """Dual ascent on the bilinear constraint; expects u, v, w advanced.
+
+    ``gap``, when given, receives the constraint gap ``v .* w - u``, which
+    the trace diagnostics reuse.
+    """
+    gap = np.multiply(state.v, state.w, out=gap)
+    gap -= state.u
+    return _ascent(state.lam_w, cfg.alpha, gap)
 
 
 def bca_solve(f, cfg: SolverConfig, truth=None):
@@ -341,16 +393,24 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
     """
     f = as_image(f)
     state = bca_init(f)
+    lambda1_f = cfg.lambda1 * f
+    gap = np.empty_like(f)
+    log_w = None  # ln(state.w), taken by the diagnostics, reused by the next v-step
 
     def step(k):
         state.u = bca_u_step(state, f, cfg)
-        state.v = bca_v_step(state, f, cfg)
+        state.v = bca_v_step(state, f, cfg, log_w, lambda1_f)
         state.w = bca_w_step(state, cfg)
-        state.lam_w = bca_multiplier_step(state, cfg)
+        state.lam_w = bca_multiplier_step(state, cfg, gap)
         state.iters = k
         return state.u
 
-    return _run(cfg, truth, state.u, step, lambda: _bilinear_diagnostics(state, f, cfg))
+    def diagnose():
+        nonlocal log_w
+        log_w = ln(state.w)
+        return _bilinear_diagnostics(state, f, cfg, gap=gap, log_w=log_w)
+
+    return _run(cfg, truth, state.u, step, diagnose)
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +436,21 @@ def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     ``(alpha_w I - alpha_p Lap) u = -lambda2 + lam_w + alpha_w v.*w - div(lam_p + alpha_p p)``.
     The solve is direct, so the result does not depend on the previous u.
     """
-    rhs = (
-        -cfg.lambda2
-        + state.lam_w
-        + cfg.alpha_w * state.v * state.w
-        - divergence(state.lam_p + cfg.alpha_p * state.p)
-    )
+    # in place, in the rounding order of the formula (-lambda2 + lam_w is
+    # exactly lam_w - lambda2)
+    rhs = np.subtract(state.lam_w, cfg.lambda2)
+    work = np.multiply(state.v, cfg.alpha_w)
+    work *= state.w
+    rhs += work
+    flux = np.multiply(state.p, cfg.alpha_p)
+    flux += state.lam_p
+    rhs -= divergence(flux, out=work)
     return solve_screened_poisson(rhs, cfg.alpha_w, cfg.alpha_p)
 
 
-def bcaf_v_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
+def bcaf_v_step(state: SolverState, f, cfg: SolverConfig, log_w=None, lambda1_f=None) -> np.ndarray:
     """Same pointwise update as the bilinear solver, at penalty ``alpha_w``."""
-    return _v_update(state.u, state.w, state.lam_w, f, cfg, cfg.alpha_w, state.iters == 0)
+    return _v_update(state, f, cfg, cfg.alpha_w, log_w, lambda1_f)
 
 
 def bcaf_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
@@ -402,38 +465,53 @@ def bcaf_p_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray | None
     """
     if grad_u is None:
         grad_u = gradient(state.u)
-    return soft_threshold(grad_u - state.lam_p / cfg.alpha_p, 1.0 / cfg.alpha_p)
+    q = np.divide(state.lam_p, cfg.alpha_p)
+    np.subtract(grad_u, q, out=q)
+    return soft_threshold(q, 1.0 / cfg.alpha_p, out=q)
 
 
-def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray):
+def bcaf_multiplier_step(
+    state: SolverState, cfg: SolverConfig, grad_u: np.ndarray, gap=None, gap_p=None
+):
     """Dual ascent on both constraints; expects u, v, w, p advanced.
 
     ``grad_u`` is ``gradient(state.u)``, computed once per iteration by the
-    caller and shared with the p-step and the trace diagnostics.
+    caller and shared with the p-step and the trace diagnostics.  ``gap`` and
+    ``gap_p``, when given, receive the constraint gaps ``v .* w - u`` and
+    ``p - grad_u``, which the trace diagnostics reuse.
     """
-    lam_w = state.lam_w + cfg.alpha_w * (state.v * state.w - state.u)
-    lam_p = state.lam_p + cfg.alpha_p * (state.p - grad_u)
-    return lam_w, lam_p
+    gap = np.multiply(state.v, state.w, out=gap)
+    gap -= state.u
+    gap_p = np.subtract(state.p, grad_u, out=gap_p)
+    return _ascent(state.lam_w, cfg.alpha_w, gap), _ascent(state.lam_p, cfg.alpha_p, gap_p)
 
 
 def bcaf_solve(f, cfg: SolverConfig, truth=None):
     """Run the flux-split solver on observation ``f``; returns ``(u, trace)``."""
     f = as_image(f)
     state = bcaf_init(f)
-    grad_u = None
+    lambda1_f = cfg.lambda1 * f
+    grad_u = np.empty_like(state.p)
+    gap = np.empty_like(f)
+    gap_p = np.empty_like(state.p)
+    log_w = None  # ln(state.w), taken by the diagnostics, reused by the next v-step
 
     def step(k):
-        nonlocal grad_u
         state.u = bcaf_u_step(state, f, cfg)
-        grad_u = gradient(state.u)
-        state.v = bcaf_v_step(state, f, cfg)
+        gradient(state.u, out=grad_u)
+        state.v = bcaf_v_step(state, f, cfg, log_w, lambda1_f)
         state.w = bcaf_w_step(state, cfg)
         state.p = bcaf_p_step(state, cfg, grad_u)
-        state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u)
+        state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u, gap, gap_p)
         state.iters = k
         return state.u
 
-    return _run(cfg, truth, state.u, step, lambda: _bilinear_diagnostics(state, f, cfg, grad_u))
+    def diagnose():
+        nonlocal log_w
+        log_w = ln(state.w)
+        return _bilinear_diagnostics(state, f, cfg, grad_u, gap, gap_p, log_w)
+
+    return _run(cfg, truth, state.u, step, diagnose)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,34 @@ def test_cell_snr_matches_library_call(tmp_path):
     assert cell["iters"] == str(trace[-1].iter)
 
 
+def test_cells_solve_without_truth(tmp_path, monkeypatch):
+    """A cell scores its output once, after the solve: the solver gets no
+    truth, so it takes no per-iteration SNR, and the rows are those of
+    solves that did."""
+    original = solvers.bca_solve
+    truths = []
+
+    def recording(f, cfg, truth=None):
+        truths.append(truth)
+        return original(f, cfg, truth=truth)
+
+    monkeypatch.setattr(solvers, "bca_solve", recording)
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "a"), "a.ini"))
+    rows = read_rows(run_bench(spec, threads=1))
+    assert len(truths) == 6 and all(t is None for t in truths)
+
+    clean = make_phantom("flat", 16, 16)
+    monkeypatch.setattr(solvers, "bca_solve", lambda f, cfg, truth=None: original(f, cfg, truth=clean))
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "b"), "b.ini"))
+    assert strip(read_rows(run_bench(spec, threads=1))) == strip(rows)
+
+
+def test_nonfinite_noise_level_names_the_spec(tmp_path):
+    p = write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out").replace("sigma = 1e-4", "sigma = nan"))
+    with pytest.raises(FormatError, match=r"exp\.ini.*sigma must be finite"):
+        load_experiment(p)
+
+
 def test_poisson_baseline_handles_negative_samples(tmp_path):
     # heavy Gaussian noise pushes samples below zero; the harness must still
     # be able to feed them to the nonnegative Poisson fidelity

@@ -217,6 +217,20 @@ def test_exit_codes_for_bad_data(tmp_path, capsys):
     assert f"mpg: {tiny}: phantom dimensions must be at least 8" in err
 
 
+def test_nonfinite_noise_level_is_named(tmp_path, capsys):
+    # a NaN sigma fails in the noise settings, not later as a broken image
+    out = str(tmp_path / "o.dat")
+    assert main(["corrupt", "--phantom", "flat", "--eta", "4", "--sigma", "nan", "-o", out]) == 1
+    assert capsys.readouterr().err == "mpg: sigma must be finite and nonnegative\n"
+    assert main(["corrupt", "--phantom", "flat", "--eta", "inf", "-o", out]) == 1
+    assert capsys.readouterr().err == "mpg: eta must be finite and positive\n"
+    spec = tmp_path / "nan.ini"
+    spec.write_text(f"[experiment]\noutput_dir = {tmp_path / 'b'}\n[noise.a]\neta = 4\nsigma = nan\n"
+                    "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"mpg: {spec}: sigma must be finite and nonnegative\n"
+
+
 def test_truth_of_another_shape_is_data_error(tmp_path, capsys):
     noisy, _, _ = make_noisy(tmp_path)
     truth = tmp_path / "truth.dat"

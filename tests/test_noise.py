@@ -22,6 +22,17 @@ def test_spec_validation():
     NoiseSpec(eta=1.0, sigma=0.0)
 
 
+@pytest.mark.parametrize("eta, sigma, message", [
+    (float("nan"), 0.1, "eta must be finite and positive"),
+    (float("inf"), 0.1, "eta must be finite and positive"),
+    (1.0, float("nan"), "sigma must be finite and nonnegative"),
+    (1.0, float("inf"), "sigma must be finite and nonnegative"),
+])
+def test_spec_rejects_nonfinite_levels(eta, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        NoiseSpec(eta=eta, sigma=sigma)
+
+
 def test_zero_image_zero_sigma_is_exactly_zero():
     f = corrupt(np.zeros((8, 8)), NoiseSpec(eta=4.0, sigma=0.0, seed=3))
     assert np.all(f == 0.0)

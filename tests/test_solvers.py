@@ -7,10 +7,13 @@ updates are checked against long-run reference solves and against the linear
 system they claim to solve.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import mpgdenoise.chambolle
 import mpgdenoise.grid
@@ -338,6 +341,62 @@ def test_w_step_matches_grid_search():
             fine = np.arange(max(1e-6, coarse[k] - 2e-3), coarse[k] + 2e-3, 1e-7)
             best = fine[int(np.argmin(phi(fine)))]
             assert abs(w[i, j] - best) < 1e-4
+
+
+def masked_w_update(u, v, lam_w, lambda2, alpha):
+    """Reference w update: each root formula evaluated only where the sign of
+    ``x = u - lam_w/alpha`` picks it, through masked ufunc calls."""
+    x = lam_w / alpha
+    np.subtract(u, x, out=x)
+    root = 4.0 * lambda2 * v / alpha
+    root += np.square(x)
+    np.sqrt(root, out=root)
+    pos = x >= 0.0
+    neg = ~pos
+    w = np.empty_like(x)
+    np.add(x, root, out=w, where=pos)
+    np.divide(w, 2.0 * v, out=w, where=pos)
+    np.subtract(root, x, out=root, where=neg)
+    np.divide(2.0 * lambda2 / alpha, root, out=w, where=neg)
+    return w
+
+
+def _w_step_bytes_match_masked(u, v, lam_w, lambda2, alpha):
+    cfg = SolverConfig(lambda1=1.0, lambda2=lambda2, alpha=alpha)
+    st = make_state(np.zeros_like(u), v=v, w=np.ones_like(u), lam_w=lam_w)
+    st.u = u
+    got = bca_w_step(st, cfg)
+    want = masked_w_update(u, v, lam_w, lambda2, alpha)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-1, 1.0, 200.0, 1e4, 1e6])
+@pytest.mark.parametrize("lambda2", [1e-3, 2.5, 1e3])
+def test_w_step_bytes_match_masked_formula(alpha, lambda2):
+    """x = +0.0 and -0.0 (u = +-0.0, lam_w = +-0.0), |x| far above and far
+    below the root, v at the floor: the one-array form gives the bytes of
+    the masked one."""
+    xs = np.array([0.0, -0.0, 1e-12, -1e-12, 0.5, -0.5, 1e8, -1e8, 1e150, -1e150])
+    vs = np.array([1e-6, 1.0, 1e6])
+    u, v = (a.ravel() for a in np.meshgrid(xs, vs, indexing="ij"))
+    for lam_w in (np.zeros_like(u), np.full_like(u, -0.0)):
+        _w_step_bytes_match_masked(u.reshape(5, -1), v.reshape(5, -1), lam_w.reshape(5, -1),
+                                   lambda2, alpha)
+
+
+@given(
+    data=hst.lists(
+        hst.tuples(hst.floats(-1e6, 1e6), hst.floats(1e-6, 1e6), hst.floats(-1e6, 1e6)),
+        min_size=1,
+        max_size=12,
+    ),
+    lambda2=hst.floats(1e-3, 1e3),
+    alpha=hst.floats(1e-3, 1e6),
+)
+@settings(max_examples=200, deadline=None)
+def test_w_step_bytes_match_masked_formula_property(data, lambda2, alpha):
+    u, v, lam_w = (np.array(col).reshape(1, -1) for col in zip(*data))
+    _w_step_bytes_match_masked(u, v, lam_w, lambda2, alpha)
 
 
 def test_w_step_rejects_infeasible_v():
@@ -703,6 +762,31 @@ def test_gradient_calls_per_iteration_including_diagnostics(monkeypatch, solve, 
     assert len(calls) == 5 * per_iteration
 
 
+@pytest.mark.parametrize("solve", [bca_solve, bcaf_solve])
+def test_log_of_w_once_per_iteration(monkeypatch, solve):
+    """The diagnostics take the checked ln(w), and the next v-step reuses
+    it: one ln per iteration, plus one of the starting w for the first
+    v-step.  The only other log is the objective's log(u/v)."""
+    ln_calls, log_calls = [], []
+    real_ln, real_log = mpgdenoise.grid.ln, np.log
+
+    def counting_ln(a):
+        ln_calls.append(a)
+        return real_ln(a)
+
+    def counting_log(*args, **kwargs):
+        log_calls.append(args[0])
+        return real_log(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "ln", counting_ln)
+    monkeypatch.setattr(np, "log", counting_log)
+    f = corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    _, trace = solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5))
+    assert len(trace) == 5
+    assert len(ln_calls) == 5 + 1
+    assert len(log_calls) == len(ln_calls) + 5
+
+
 def test_bca_default_depth_stops_with_the_deep_solve():
     """Two warm-started dual steps per iteration meet the xi stop within two
     iterations of ten, at the same SNR.  An odd depth fails here: the dual
@@ -741,6 +825,17 @@ def test_bca_explicit_depth_ten_bytes_are_pinned():
     )
 
 
+# sha256 of every trace column but ``seconds`` (the wall clock) at the
+# defaults below, per method
+PINNED_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceRecord) if f.name != "seconds")
+TRACE_DIGESTS = {
+    "bca": "1f326620afcc0c736eada5bd0fc74593979823db6b084499260b34c3021f0328",
+    "bcaf": "ccfc9a7670c2195d4e8e3569c4d8aacf2a4b87e3251fb738190d24ebd06f3bc8",
+    "tvl2": "a2a0a06a69f885f726ccbec211b7982fafad1cf8e5b592554f44860b1679b1ca",
+    "tvkl": "aa9c53296f31b424f05ba8eebfd1471c4545aa5bc5985b40398b2b7c7b4057d4",
+}
+
+
 @pytest.mark.parametrize("method, iters, digest", [
     ("bca", 148, "1cc36efd622bd71b26910021a02b733e4a289df6341dfb322f9e9fa8390c01ec"),
     ("bcaf", 150, "717dbcbb25d9e26883cbe49194c0a957671fb52d6ec9ab781ac1e14fb36fc3be"),
@@ -749,9 +844,11 @@ def test_bca_explicit_depth_ten_bytes_are_pinned():
 ])
 def test_default_config_bytes_are_pinned(method, iters, digest):
     """Each method at its own defaults (bca at TV depth 2) keeps its output
-    bytes and its iteration count; a change to a kernel that moves one
-    rounding shows here."""
+    bytes, its iteration count and every trace column but ``seconds``; a
+    change to a kernel or a diagnostic that moves one rounding shows here."""
     f = corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
     u, trace = run_method(method, f, SolverConfig(lambda1=8.0, lambda2=2.5))
     assert len(trace) == iters
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+    rows = [tuple(getattr(r, c) for c in PINNED_COLUMNS) for r in trace]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TRACE_DIGESTS[method]
