@@ -61,20 +61,31 @@ def tv_l2_denoise(g, weight, cfg=None, warm_dual=None):
         (u, dual): the primal estimate ``g - (1/weight) * div(dual)`` and the
         final dual field for later warm starts.
 
-    ``warm_dual`` is copied, never written.  The work arrays are allocated
-    once per call and every step runs in place on them, with the operations
-    in the order of the update formula, so the result is bit-identical to
-    evaluating that formula with fresh arrays.
+    ``warm_dual`` is copied, never written.
+    """
+    if warm_dual is not None:
+        warm_dual = np.array(warm_dual, dtype=np.float64, copy=True)
+    return _tv_l2_in_place(g, weight, cfg, warm_dual)
+
+
+def _tv_l2_in_place(g, weight, cfg, dual):
+    """:func:`tv_l2_denoise` run on ``dual`` itself, for callers that own it.
+
+    A float64 ``dual`` is updated in place and returned, so no copy of the
+    field is made; ``None`` starts from the zero field.  The work arrays are
+    allocated once per call and every step runs in place on them, with the
+    operations in the order of the update formula, so the result is
+    bit-identical to evaluating that formula with fresh arrays.
     """
     if cfg is None:
         cfg = ChambolleConfig()
     if not weight > 0.0:
         raise DomainError("fidelity weight must be positive")
     g = np.asarray(g, dtype=np.float64)
-    if warm_dual is None:
+    if dual is None:
         q = np.zeros((2,) + g.shape)
     else:
-        q = np.array(warm_dual, dtype=np.float64, copy=True)
+        q = np.asarray(dual, dtype=np.float64)
 
     tau = cfg.tau
     wg = weight * g

@@ -9,7 +9,10 @@ Two image formats are supported:
   viewing.
 * a **plain-text float format** (first line ``width height``, then one line
   of decimals per row) whose write -> read round-trip is bit-exact; this is
-  the default for anything that feeds back into computation.
+  the default for anything that feeds back into computation.  The reader
+  parses the file's bytes in one C pass (``np.fromstring``), header
+  included, so it holds the file and the result array and no Python object
+  per sample.
 
 Traces are CSV with a stable header and optional leading ``# key=value``
 comment lines echoing the resolved configuration.
@@ -20,6 +23,7 @@ from __future__ import annotations
 import csv
 import re
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,8 +100,9 @@ def _write_pgm(path: Path, u: np.ndarray) -> None:
 # plain-text float format
 
 
-def _read_float_text(text: str) -> np.ndarray:
-    header, _, body = text.partition("\n")
+def _read_float_text(data: bytes) -> np.ndarray:
+    newline = data.find(b"\n")
+    header = data if newline < 0 else data[:newline]
     try:
         w_tok, h_tok = header.split()
         width, height = int(w_tok), int(h_tok)
@@ -105,13 +110,19 @@ def _read_float_text(text: str) -> np.ndarray:
         raise FormatError("malformed float-image header (want 'width height')") from exc
     if width < 1 or height < 1:
         raise FormatError("non-positive float-image dimensions")
-    try:
-        vals = np.array(body.split(), dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError("non-numeric sample in float image") from exc
-    if vals.size != width * height:
-        raise FormatError(f"expected {width * height} samples, found {vals.size}")
-    return vals.reshape(height, width)
+    # The whole buffer, header included, so the body is never copied.  A token
+    # that is not a number stops the parse: numpy >= 2 raises ValueError,
+    # numpy < 2 only warns and returns the values before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            vals = np.fromstring(data, sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
+            raise FormatError("non-numeric sample in float image") from exc
+    if vals.size - 2 != width * height:
+        raise FormatError(f"expected {width * height} samples, found {vals.size - 2}")
+    # the first two values parsed are the header's width and height
+    return vals[2:].reshape(height, width)
 
 
 def _write_float_text(path: Path, u: np.ndarray) -> None:
@@ -132,12 +143,10 @@ def read_image(path) -> np.ndarray:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     if data[:2] in (b"P5", b"P2"):
         u = _read_pgm(data)
+    elif data.isascii():
+        u = _read_float_text(data)
     else:
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: neither PGM nor float text") from exc
-        u = _read_float_text(text)
+        raise FormatError(f"{path}: neither PGM nor float text")
     try:
         return as_image(u)
     except ValueError as exc:

@@ -13,7 +13,10 @@ Randomness is counter-based rather than stream-based: every random draw is a
 pure function of ``(seed, pixel index, draw index)`` through the SplitMix64
 finalizer.  The same seed therefore yields bit-identical corruption on every
 platform and regardless of evaluation order, and changing one pixel's clean
-value never perturbs another pixel's draws.
+value never perturbs another pixel's draws.  ``corrupt`` uses this to draw
+the image in blocks of ``_BLOCK`` pixels, writing each block into the one
+output array, so its working memory stays a few block-sized arrays at any
+image size and the bytes equal those of a one-pass draw.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _INC = np.uint64(0xD1342543DE82EF95)
 #: most steps the sequential-search Poisson sampler takes for one pixel
 _INVERSION_CAP = 400
+#: pixels drawn together by ``corrupt``; bounds its working memory
+_BLOCK = 2**13
 
 
 @dataclass
@@ -61,8 +66,9 @@ def _uniforms(keys: np.ndarray, draw: np.ndarray) -> np.ndarray:
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
-def _pixel_keys(seed: int, n: int) -> np.ndarray:
-    idx = np.arange(1, n + 1, dtype=np.uint64)
+def _pixel_keys(seed: int, start: int, stop: int) -> np.ndarray:
+    """Keys of the pixels with flat indices ``start`` to ``stop - 1``."""
+    idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
     return _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN)
 
 
@@ -137,6 +143,18 @@ def _poisson(mean: np.ndarray, keys: np.ndarray, draw0: np.ndarray) -> np.ndarra
     return counts
 
 
+def _corrupt_block(u: np.ndarray, spec: NoiseSpec, start: int, out: np.ndarray) -> None:
+    """Draws of the pixels with flat indices ``start`` to ``start + u.size - 1``
+    (``u`` holds their clean values), written into ``out``."""
+    keys = _pixel_keys(spec.seed, start, start + u.size)
+    # draw 0 of every pixel is the Gaussian; Poisson consumes draws 1, 2, ...
+    gauss = ndtri(_uniforms(keys, np.zeros(u.size, dtype=np.uint64)))
+    counts = _poisson(u * spec.eta, keys, np.ones(u.size, dtype=np.uint64))
+    np.divide(counts, spec.eta, out=out)
+    gauss *= spec.sigma
+    out += gauss
+
+
 def corrupt(u, spec: NoiseSpec) -> np.ndarray:
     """Draw one mixed Poisson-Gaussian observation of the clean image ``u``.
 
@@ -146,14 +164,10 @@ def corrupt(u, spec: NoiseSpec) -> np.ndarray:
     u = as_image(u)
     if np.min(u) < 0.0:
         raise DomainError("clean image must be nonnegative")
-    n = u.size
-    keys = _pixel_keys(spec.seed, n)
     flat = u.reshape(-1)
-
-    # draw 0 of every pixel is the Gaussian; Poisson consumes draws 1, 2, ...
-    gauss = ndtri(_uniforms(keys, np.zeros(n, dtype=np.uint64)))
-    counts = _poisson(flat * spec.eta, keys, np.ones(n, dtype=np.uint64))
-    f = counts / spec.eta + spec.sigma * gauss
+    f = np.empty(u.size)
+    for start in range(0, u.size, _BLOCK):
+        _corrupt_block(flat[start : start + _BLOCK], spec, start, f[start : start + _BLOCK])
     return f.reshape(u.shape)
 
 

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
+from .chambolle import ChambolleConfig, _tv_l2_in_place, soft_threshold, tv_l2_energy
 from .grid import (
     DomainError,
     as_image,
@@ -290,11 +290,11 @@ def bca_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     over ``u``, i.e. a TV proximal step at weight ``alpha`` around the target
     ``v .* w + lam_w/alpha - lambda2/alpha``, inexactly: ``cfg.chambolle``
     dual steps, or ``BCA_INNER_ITERS`` when it is ``None``.  The TV dual
-    field is persisted into ``state.dual`` for the next warm start.
+    field is updated in place in ``state.dual`` for the next warm start.
     """
     target = state.v * state.w + state.lam_w / cfg.alpha - cfg.lambda2 / cfg.alpha
     chambolle = cfg.chambolle or ChambolleConfig(inner_iters=BCA_INNER_ITERS)
-    u, state.dual = tv_l2_denoise(target, cfg.alpha, chambolle, warm_dual=state.dual)
+    u, state.dual = _tv_l2_in_place(target, cfg.alpha, chambolle, state.dual)
     return u
 
 
@@ -533,7 +533,7 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
 
     def step(k):
         nonlocal u, dual
-        u, dual = tv_l2_denoise(f, lam, cfg.chambolle, warm_dual=dual)
+        u, dual = _tv_l2_in_place(f, lam, cfg.chambolle, dual)
         return u
 
     def diagnose():
@@ -575,7 +575,7 @@ def tv_kl_solve(f, lam: float, cfg: SolverConfig, truth=None):
 
     def step(k):
         nonlocal u, z, mu, dual
-        u, dual = tv_l2_denoise(z + mu / rho, rho, cfg.chambolle, warm_dual=dual)
+        u, dual = _tv_l2_in_place(z + mu / rho, rho, cfg.chambolle, dual)
         z = kl_z_update(u, mu, f, lam, rho)
         mu = mu + rho * (z - u)
         return u

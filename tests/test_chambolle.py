@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from mpgdenoise.chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
+from mpgdenoise.chambolle import (
+    ChambolleConfig,
+    _tv_l2_in_place,
+    soft_threshold,
+    tv_l2_denoise,
+    tv_l2_energy,
+)
 from mpgdenoise.grid import DomainError, gradient, magnitude
 
 
@@ -122,6 +128,30 @@ def test_warm_dual_is_not_written():
     _, dual = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), warm_dual=warm)
     assert warm.tobytes() == before
     assert dual is not warm and not np.shares_memory(dual, warm)
+
+
+def test_in_place_steps_write_the_callers_dual_with_the_same_bytes():
+    rng = np.random.default_rng(12)
+    g = rng.uniform(0, 1, (9, 8))
+    _, warm = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=3))
+    u_copy, d_copy = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), warm_dual=warm)
+    u, dual = _tv_l2_in_place(g, 2.5, ChambolleConfig(inner_iters=4), warm)
+    assert dual is warm
+    assert u.tobytes() == u_copy.tobytes() and dual.tobytes() == d_copy.tobytes()
+
+
+def test_in_place_steps_allocate_no_dual_copy(transient_peak):
+    """In place, the call holds its work arrays (weight*g, z and m one image
+    each, t two) and the divergence's one-image temporary, and no copy of
+    the (2, H, W) dual; the copying default holds that copy on top."""
+    rng = np.random.default_rng(13)
+    g = rng.uniform(0, 1, (256, 256))
+    cfg = ChambolleConfig(inner_iters=2)
+    _, warm = tv_l2_denoise(g, 2.5, cfg)
+    _, copied = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
+    _, in_place = transient_peak(_tv_l2_in_place, g, 2.5, cfg, warm)
+    assert in_place <= 6.1 * g.nbytes
+    assert copied - in_place >= 1.9 * g.nbytes
 
 
 def test_energy_monotone_per_step_at_half_tau():

@@ -4,6 +4,8 @@ PGM fixtures are built byte-by-byte in the tests so the reader is checked
 against the format, not against the writer.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -253,6 +255,10 @@ def test_float_text_rejects_malformed_files(tmp_path):
     ("-1 2\n", "non-positive float-image dimensions"),
     ("2 2\n1 2\n3 y\n", "non-numeric sample in float image"),
     ("2 2\n1 2\n3\n", "expected 4 samples, found 3"),
+    ("2 2\n1 2 3 4x", "non-numeric sample in float image"),  # trailing bad token
+    ("2 2\n", "expected 4 samples, found 0"),
+    ("2 2\n \n\t\n", "expected 4 samples, found 0"),
+    ("1 1\n\u00e9\n", "neither PGM nor float text"),
 ])
 def test_float_text_error_messages(tmp_path, text, message):
     p = tmp_path / "bad.dat"
@@ -266,6 +272,106 @@ def test_float_text_samples_may_span_lines(tmp_path):
     p = tmp_path / "u.dat"
     p.write_bytes(b"3 2\r\n0.5 0.25\r\n0.125\n\n1 2   3\n")
     assert np.array_equal(read_image(p), [[0.5, 0.25, 0.125], [1.0, 2.0, 3.0]])
+
+
+def test_float_text_reader_memory(tmp_path, transient_peak):
+    """The reader holds the file's bytes and the result, not an object per sample."""
+    u = np.random.default_rng(3).standard_normal((512, 512))
+    p = tmp_path / "u.dat"
+    write_image(p, u)
+    got, peak = transient_peak(read_image, p)
+    assert got.tobytes() == u.tobytes()
+    assert peak <= p.stat().st_size + 1.5 * u.nbytes
+
+
+def _reference_float_text(data):
+    """Float-text read as the reader once did it, through Python strings: the
+    image, or the ``FormatError`` message it raised."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        return "neither PGM nor float text"
+    header, _, body = text.partition("\n")
+    try:
+        w_tok, h_tok = header.split()
+        width, height = int(w_tok), int(h_tok)
+    except ValueError:
+        return "malformed float-image header"
+    if width < 1 or height < 1:
+        return "non-positive float-image dimensions"
+    try:
+        vals = np.array(body.split(), dtype=np.float64)
+    except ValueError:
+        return "non-numeric sample in float image"
+    if vals.size != width * height:
+        return f"expected {width * height} samples, found {vals.size}"
+    if not np.all(np.isfinite(vals)):
+        return "image contains non-finite entries"
+    return vals.reshape(height, width)
+
+
+# Inputs on which the byte parser deliberately differs from the reference,
+# always by raising FormatError: digit underscores ("1_0", which Python's
+# int/float take), the separators \x1c-\x1f (which str.split takes as
+# whitespace), and "nan(...)" (NaN to numpy, so the message is the
+# non-finite one, or a count, instead of "non-numeric sample").
+_STRICTER = (b"_", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"nan(")
+
+# mostly numbers, so that about a third of the files are images
+_FT_NUMBER = st.one_of(
+    _FLOATS.map(lambda x: repr(x).encode()),
+    st.integers(-10**20, 10**20).map(lambda k: b"%d" % k),
+)
+_FT_TOKEN = st.one_of(
+    _FT_NUMBER,
+    _FT_NUMBER,
+    _FT_NUMBER,
+    _FT_NUMBER,
+    _FT_NUMBER,
+    st.floats().map(lambda x: repr(x).encode()),
+    st.sampled_from([
+        b"1_0", b"nan(1)", b"1.2.3", b"1e", b".", b"-", b"+.5", b"5.", b"-0", b"x", b"4x",
+        b"1,2", b"0x10", b"inf", b"-Infinity", b"NaN", b"1e999", b"1e-400", b"1E+3", b"+-1",
+        b"infinit", b"\xc3\xa9",
+    ]),
+)
+_FT_SEP = st.sampled_from([b" "] * 8 + [b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c", b"   ", b"\x1c"])
+
+
+@st.composite
+def _float_texts(draw):
+    width, height = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    header = draw(st.sampled_from([
+        b"%d %d" % (width, height), b"%d %d" % (width, height), b"%d %d" % (width, height),
+        b"+%d 0%d" % (width, height), b" %d\t%d \r" % (width, height),
+        b"%d_0 %d" % (width, height), b"%d %d 1" % (width, height), b"%d" % width,
+        b"-%d %d" % (width, height), b"%d x" % width, b"",
+    ]))
+    count = width * height + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    tokens = draw(st.lists(_FT_TOKEN, min_size=count, max_size=count))
+    seps = draw(st.lists(_FT_SEP, min_size=count, max_size=count))
+    body = b"".join(t + s for t, s in zip(tokens, seps))
+    return header + draw(st.sampled_from([b"\n", b"\r\n", b"\n\n"])) + body if body else header
+
+
+@settings(_RUN_IN_TMP_PATH, max_examples=400)
+@given(data=_float_texts())
+def test_float_text_reader_matches_reference(tmp_path, data):
+    p = tmp_path / "u.dat"
+    p.write_bytes(data)
+    want = _reference_float_text(data)
+    if any(s in data for s in _STRICTER):
+        if isinstance(want, str):
+            with pytest.raises(FormatError):
+                read_image(p)
+        else:
+            with pytest.raises(FormatError, match="non-numeric sample in float image"):
+                read_image(p)
+    elif isinstance(want, str):
+        with pytest.raises(FormatError, match=re.escape(want)):
+            read_image(p)
+    else:
+        assert read_image(p).tobytes() == want.tobytes()
 
 
 def test_read_image_missing_file_is_format_error(tmp_path):

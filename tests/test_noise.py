@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import ndtri
 
 from mpgdenoise import noise
 from mpgdenoise.grid import DomainError
@@ -152,6 +153,35 @@ def test_corrupt_bytes_are_pinned(eta, sigma, digest):
     """The synthesizer is a pure function of its inputs; a rewrite keeps its bytes."""
     f = corrupt(make_phantom("circles", 64, 64), NoiseSpec(eta=eta, sigma=sigma, seed=7))
     assert hashlib.sha256(f.tobytes()).hexdigest() == digest
+
+
+def one_pass_corrupt(u, spec):
+    """``corrupt`` as one draw over the whole image, as it was before it ran in
+    blocks: the same keys, draws and formula on full-size arrays."""
+    n = u.size
+    idx = np.arange(1, n + 1, dtype=np.uint64)
+    keys = noise._mix64(np.uint64(spec.seed) + idx * noise._GOLDEN)
+    gauss = ndtri(noise._uniforms(keys, np.zeros(n, dtype=np.uint64)))
+    counts = noise._poisson(u.reshape(-1) * spec.eta, keys, np.ones(n, dtype=np.uint64))
+    return (counts / spec.eta + spec.sigma * gauss).reshape(u.shape)
+
+
+# means below 10 only (inversion), both samplers, rejection almost everywhere
+@pytest.mark.parametrize("eta", [4.0, 40.0, 1000.0])
+def test_blocked_corrupt_matches_one_pass(eta):
+    u = np.random.default_rng(11).uniform(0.0, 1.0, (300, 301))
+    u[0, :7] = 0.0  # zero rate: count 0 without a draw
+    assert u.size > 2 * noise._BLOCK and u.size % noise._BLOCK  # a partial last block
+    spec = NoiseSpec(eta=eta, sigma=0.05, seed=5)
+    assert corrupt(u, spec).tobytes() == one_pass_corrupt(u, spec).tobytes()
+
+
+def test_corrupt_memory(transient_peak):
+    """The output plus a few block-sized arrays, not full-size temporaries."""
+    u = make_phantom("circles", 512, 512)
+    f, peak = transient_peak(corrupt, u, NoiseSpec(eta=40.0, sigma=0.05, seed=2))
+    assert f.shape == u.shape
+    assert peak <= 2 * u.nbytes
 
 
 def test_poisson_inversion_matches_per_pixel_search(monkeypatch):
