@@ -23,15 +23,24 @@ Any one numeric solver field may hold a space-separated list (``alpha = 20
 200 2000``), which expands into one labelled cell per value — that is how
 parameter-sweep curves (SNR versus alpha and friends) are produced.
 
-Cells are independent and run in forked worker processes, at most one per
+The cells of one noise level and solver section differ only in their seed,
+so they are solved together: their observations go to the solver as one
+stack of at most ``STACK_PIXELS`` pixels (every solver accepts a stack and
+gives each image the output and iteration count of its own solve), and
+larger images are solved one at a time.  A cell's ``seconds`` is then its
+even share of the wall time of each iteration it was in the stack, and the
+trace the row reads is the solver's final record.
+
+Stacks are independent and run in forked worker processes, at most one per
 usable core (``threads=``, else the ``MPG_THREADS`` environment variable,
 else all usable cores; 1 forces serial execution, as does a platform
-without the ``fork`` start method).  Processes, not threads: a cell is
+without the ``fork`` start method).  Processes, not threads: a solve is
 thousands of small numpy calls, and worker threads would spend their time
 passing the interpreter lock back and forth.  Rows are gathered and
 written by the caller in a fixed order, so identical inputs give identical
 CSVs aside from the timing column.  A failing cell is recorded in its row's
-status column and does not stop the harness.
+status column and does not stop the harness: when a stack's solve raises,
+its cells are solved again one by one, so each keeps its own status.
 """
 
 from __future__ import annotations
@@ -44,11 +53,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .fileio import FormatError, read_image
 from .methods import METHODS, build_config, run_method
 from .metrics import snr, ssim
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
 from .solvers import SolverConfig
+
+# most pixels solved as one stack: 8 images at 64x64, and from 256x256 up
+# each image alone, so large images keep the memory of a single solve
+STACK_PIXELS = 2**15
 
 RESULT_HEADER = ["image", "eta", "sigma", "solver", "seed", "iters", "snr", "ssim", "seconds", "status"]
 
@@ -150,32 +165,51 @@ def ssim_or_none(u, truth) -> float | None:
         return None
 
 
-def _run_cell(truth, image_label, nspec, label, method, cfg, seed):
-    row = {
-        "image": image_label,
-        "eta": f"{nspec.eta:g}",
-        "sigma": f"{nspec.sigma:g}",
-        "solver": label,
-        "seed": seed,
-        "iters": "",
-        "snr": "",
-        "ssim": "",
-        "seconds": "",
-        "status": "ok",
-    }
-    try:
-        f = corrupt(truth, NoiseSpec(eta=nspec.eta, sigma=nspec.sigma, seed=seed))
-        # no truth for the solve: the row's SNR is taken once, below, and a
-        # per-iteration SNR column would go unread
-        u, trace = run_method(method, f, cfg)
-        row["iters"] = trace[-1].iter
-        row["seconds"] = f"{trace[-1].seconds:.6f}"
-        row["snr"] = f"{snr(u, truth):.6f}"
-        s = ssim_or_none(u, truth)
-        row["ssim"] = "" if s is None else f"{s:.6f}"
-    except Exception as exc:  # noqa: BLE001 - per-row failure is part of the contract
-        row["status"] = f"error: {exc}"
-    return row
+def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
+    """Rows of the cells of one noise level and solver for ``seeds``.
+
+    Two or more seeds are solved as one stack; if that raises, each cell is
+    solved again alone, so a failing cell gets its own status row.
+    """
+    rows = [
+        {
+            "image": image_label,
+            "eta": f"{nspec.eta:g}",
+            "sigma": f"{nspec.sigma:g}",
+            "solver": label,
+            "seed": seed,
+            "iters": "",
+            "snr": "",
+            "ssim": "",
+            "seconds": "",
+            "status": "ok",
+        }
+        for seed in seeds
+    ]
+
+    def observe(seed):
+        return corrupt(truth, NoiseSpec(eta=nspec.eta, sigma=nspec.sigma, seed=seed))
+
+    # no truth for the solves: each row's SNR is taken once, below, and a
+    # per-iteration SNR column would go unread
+    solved = None
+    if len(seeds) > 1:
+        try:
+            u, traces = run_method(method, np.stack([observe(seed) for seed in seeds]), cfg)
+            solved = list(zip(u, traces))
+        except Exception:  # noqa: BLE001 - the cells are solved again one by one below
+            pass
+    for i, row in enumerate(rows):
+        try:
+            u, trace = solved[i] if solved else run_method(method, observe(seeds[i]), cfg)
+            row["iters"] = trace[-1].iter
+            row["seconds"] = f"{trace[-1].seconds:.6f}"
+            row["snr"] = f"{snr(u, truth):.6f}"
+            s = ssim_or_none(u, truth)
+            row["ssim"] = "" if s is None else f"{s:.6f}"
+        except Exception as exc:  # noqa: BLE001 - per-row failure is part of the contract
+            row["status"] = f"error: {exc}"
+    return rows
 
 
 def _usable_cores() -> int:
@@ -213,21 +247,23 @@ def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (truth, image_label, nspec, label, method, cfg, seed)
+    per_stack = max(1, STACK_PIXELS // truth.size)
+    stacks = [
+        (truth, image_label, nspec, label, method, cfg, spec.seeds[i : i + per_stack])
         for nspec in spec.noise
         for (label, method, cfg) in spec.solvers
-        for seed in spec.seeds
+        for i in range(0, len(spec.seeds), per_stack)
     ]
-    n_workers = max(1, min(thread_count(threads), len(cells), _usable_cores()))
+    n_workers = max(1, min(thread_count(threads), len(stacks), _usable_cores()))
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        rows = [_run_cell(*cell) for cell in cells]
+        batches = [_run_cells(*stack) for stack in stacks]
     else:
         # fork, not the platform default: the workers inherit the imported
         # package instead of importing it again on every call
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
-            rows = list(pool.map(_run_cell, *zip(*cells), chunksize=1))
+            batches = list(pool.map(_run_cells, *zip(*stacks), chunksize=1))
+    rows = [row for batch in batches for row in batch]
 
     # aggregate means over seeds for every (noise, solver) group, ok rows only
     aggregates = []

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DomainError, divergence, gradient, magnitude, total_variation
+from .grid import DomainError, divergence, field_shape, gradient, magnitude, total_variation
 
 
 @dataclass
@@ -72,10 +72,12 @@ def _tv_l2_in_place(g, weight, cfg, dual):
     """:func:`tv_l2_denoise` run on ``dual`` itself, for callers that own it.
 
     A float64 ``dual`` is updated in place and returned, so no copy of the
-    field is made; ``None`` starts from the zero field.  The work arrays are
-    allocated once per call and every step runs in place on them, with the
-    operations in the order of the update formula, so the result is
-    bit-identical to evaluating that formula with fresh arrays.
+    field is made; ``None`` starts from the zero field.  ``g`` may also be a
+    stack ``(B, H, W)``, with a ``(B, 2, H, W)`` dual, and each image gets the
+    bytes of its own solve.  The work arrays are allocated once per call and
+    every step runs in place on them, with the operations in the order of the
+    update formula, so the result is bit-identical to evaluating that formula
+    with fresh arrays.
     """
     if cfg is None:
         cfg = ChambolleConfig()
@@ -83,30 +85,31 @@ def _tv_l2_in_place(g, weight, cfg, dual):
         raise DomainError("fidelity weight must be positive")
     g = np.asarray(g, dtype=np.float64)
     if dual is None:
-        q = np.zeros((2,) + g.shape)
+        q = np.zeros(field_shape(g.shape))
     else:
         q = np.asarray(dual, dtype=np.float64)
 
     tau = cfg.tau
     wg = weight * g
     # work arrays: z = div q - weight*g (then scratch for t_y^2), t = grad z,
-    # m = 1 + tau*|t|
+    # m = 1 + tau*|t|, seen by q through m_q
     z = np.empty(g.shape)
-    t = np.empty((2,) + g.shape)
+    t = np.empty(q.shape)
     m = np.empty(g.shape)
+    m_q = m[..., None, :, :]
     for _ in range(cfg.inner_iters):
         divergence(q, out=z)
         z -= wg
         gradient(z, out=t)
-        np.square(t[0], out=m)
-        m += np.square(t[1], out=z)
+        np.square(t[..., 0, :, :], out=m)
+        m += np.square(t[..., 1, :, :], out=z)
         np.sqrt(m, out=m)
         m *= tau
         m += 1.0
         # q <- (q + tau*t) / m, in the same rounding order as that expression
         t *= tau
         q += t
-        q /= m
+        q /= m_q
     divergence(q, out=z)
     z /= weight
     return g - z, q
@@ -131,4 +134,4 @@ def soft_threshold(q, eta, out=None):
     scl = mag - eta
     np.maximum(0.0, scl, out=scl)
     scl /= np.where(mag > 0.0, mag, 1.0)
-    return np.multiply(q, scl, out=out)
+    return np.multiply(q, scl[..., None, :, :], out=out)

@@ -6,7 +6,12 @@ Conventions used by every module in this package:
   so ``u[i, j]`` is row ``i`` (y) and column ``j`` (x);
 * a vector field (e.g. an image gradient) is a ``float64`` array of shape
   ``(2, height, width)`` where component ``0`` holds column (x) differences
-  and component ``1`` holds row (y) differences.
+  and component ``1`` holds row (y) differences;
+* a stack of same-shape images is a ``(B, height, width)`` array and its
+  vector fields are ``(B, 2, height, width)``.  The operators below index
+  from the right (``u[..., i, j]``, ``q[..., c, i, j]``), so they apply to
+  every image of a stack at once, and each image gets the bytes it would get
+  alone.
 
 The gradient uses forward differences with replicate boundary handling: the
 difference at the far edge is zero.  The divergence is built to be the exact
@@ -38,22 +43,41 @@ def as_image(a) -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"expected a non-empty 2-d image array, got shape {arr.shape}")
+    return _finite(arr)
+
+
+def as_images(a) -> np.ndarray:
+    """:func:`as_image` for one image ``(H, W)`` or a stack ``(B, H, W)`` of
+    same-shape images; a stack is made C-contiguous, so each image is one
+    contiguous block."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim not in (2, 3) or arr.size == 0:
+        raise ValueError(f"expected a non-empty image or stack of images, got shape {arr.shape}")
+    return _finite(arr if arr.ndim == 2 else np.ascontiguousarray(arr))
+
+
+def _finite(arr):
     if not np.all(np.isfinite(arr)):
         raise DomainError("image contains non-finite entries")
     return arr
 
 
+def field_shape(shape: tuple) -> tuple:
+    """Shape of the vector field of an image or stack of shape ``shape``."""
+    return shape[:-2] + (2,) + shape[-2:]
+
+
 def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference gradient; last row/column of differences are zero.
 
-    Each entry is written once, into a new ``(2, H, W)`` array or into
-    ``out`` when given (which must not overlap ``u``); returns that array.
+    Each entry is written once, into a new field array or into ``out`` when
+    given (which must not overlap ``u``); returns that array.
     """
-    q = np.empty((2,) + u.shape) if out is None else out
-    np.subtract(u[:, 1:], u[:, :-1], out=q[0, :, :-1])
-    q[0, :, -1] = 0.0
-    np.subtract(u[1:, :], u[:-1, :], out=q[1, :-1, :])
-    q[1, -1, :] = 0.0
+    q = np.empty(field_shape(u.shape)) if out is None else out
+    np.subtract(u[..., 1:], u[..., :-1], out=q[..., 0, :, :-1])
+    q[..., 0, :, -1] = 0.0
+    np.subtract(u[..., 1:, :], u[..., :-1, :], out=q[..., 1, :-1, :])
+    q[..., 1, -1, :] = 0.0
     return q
 
 
@@ -63,37 +87,50 @@ def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     Backward differences in the interior; at the near edge the component
     itself, at the far edge its negation from one cell in.  The far-edge
     entry of ``q`` never contributes, mirroring the zero the gradient puts
-    there.  The x part is written into a new ``(H, W)`` array, or into
-    ``out`` when given (which must not overlap ``q``), and the y part is
-    added to it in place; returns that array.
+    there.  The x part is written into a new image array, or into ``out``
+    when given (which must not overlap ``q``), and the y part is added to it
+    in place; returns that array.
     """
-    qx, qy = q[0], q[1]
-    h, w = qx.shape
-    d = np.empty((h, w)) if out is None else out
+    qx, qy = q[..., 0, :, :], q[..., 1, :, :]
+    h, w = qx.shape[-2:]
+    d = np.empty(qx.shape) if out is None else out
     if w > 1:
-        d[:, 0] = qx[:, 0]
-        np.subtract(qx[:, 1 : w - 1], qx[:, 0 : w - 2], out=d[:, 1 : w - 1])
+        d[..., 0] = qx[..., 0]
+        np.subtract(qx[..., 1 : w - 1], qx[..., 0 : w - 2], out=d[..., 1 : w - 1])
         # a plain assignment: numpy 2.4 np.negative into a strided column
         # view gives wrong values for some widths (8 among them)
-        d[:, w - 1] = -qx[:, w - 2]
+        d[..., w - 1] = -qx[..., w - 2]
     else:
         d[...] = 0.0
     if h > 1:
-        d[0, :] += qy[0, :]
-        d[1 : h - 1, :] += qy[1 : h - 1, :] - qy[0 : h - 2, :]
-        d[h - 1, :] -= qy[h - 2, :]
+        d[..., 0, :] += qy[..., 0, :]
+        d[..., 1 : h - 1, :] += qy[..., 1 : h - 1, :] - qy[..., 0 : h - 2, :]
+        d[..., h - 1, :] -= qy[..., h - 2, :]
     return d
 
 
+# np.dot hands vectors above some length to BLAS threads (OpenBLAS ddot:
+# above 10000 elements), and how they split the sum depends on the thread
+# count; summing fixed chunks in order keeps the bits independent of it
+_DOT_CHUNK = 8192
+
+
 def dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product ``<a, b>`` of two same-shape arrays, in one pass."""
-    return float(np.dot(a.ravel(), b.ravel()))
+    """Inner product ``<a, b>`` of two same-shape arrays: one ``np.dot`` per
+    chunk of ``_DOT_CHUNK`` elements, summed in order, so the result is the
+    same under any BLAS thread count (and one call up to that length)."""
+    a, b = a.ravel(), b.ravel()
+    n = _DOT_CHUNK
+    total = float(np.dot(a[:n], b[:n]))
+    for start in range(n, a.size, n):
+        total += float(np.dot(a[start : start + n], b[start : start + n]))
+    return total
 
 
 def magnitude(q: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean length of a vector field: sqrt(qx^2 + qy^2)."""
-    m = np.square(q[0])
-    m += np.square(q[1])
+    m = np.square(q[..., 0, :, :])
+    m += np.square(q[..., 1, :, :])
     return np.sqrt(m, out=m)
 
 

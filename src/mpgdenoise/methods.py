@@ -22,7 +22,10 @@ class Method:
 
     ``solve`` names the solve function in :mod:`mpgdenoise.solvers`.  It is
     looked up on that module at every call, never stored, so a wrapper put on
-    the module attribute (a tracer, a test double) sees every call.
+    the module attribute (a tracer, a test double) sees every call, a bench
+    stack's and each fallback cell's alike.  Every solve function takes one
+    observation ``(H, W)`` or a stack ``(B, H, W)``, and :func:`run_method`
+    passes either through.
     ``weight`` names the config field passed as a baseline's single fidelity
     weight, ``clamp`` feeds the solver ``max(f, 0)`` instead of ``f``, and
     ``penalty`` names the field that :func:`~mpgdenoise.solvers.alpha_condition`
@@ -50,7 +53,9 @@ METHODS = {
 
 
 def run_method(method: str, f, cfg: SolverConfig, truth=None):
-    """Run the solver of ``method`` on observation ``f``; returns ``(u, trace)``."""
+    """Run the solver of ``method`` on observation ``f``; returns ``(u, trace)``,
+    or for a stack ``f`` the stacked outputs and one final-record trace per
+    image."""
     m = METHODS[method]
     solve = getattr(solvers, m.solve)
     if m.clamp:

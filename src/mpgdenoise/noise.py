@@ -193,7 +193,9 @@ def make_phantom(kind: str, width: int, height: int) -> np.ndarray:
         return np.where((ii // block + jj // block) % 2 == 0, 0.25, 0.8)
     if kind == "circles":
         u = np.full((height, width), 0.1)
-        yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+        # open grids: a column of row indices against a row of column indices,
+        # broadcast by each disk test, so only its sum is image-sized
+        yy, xx = np.ogrid[:height, :width]
         scale = min(width, height)
         disks = [
             (0.32, 0.30, 0.23, 1.00),

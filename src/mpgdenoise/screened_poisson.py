@@ -28,8 +28,9 @@ def _neg_laplacian_eigenvalues(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _operator_eigenvalues(shape: tuple[int, int], alpha_w: float, alpha_p: float) -> np.ndarray:
-    """Eigenvalues of ``alpha_w I - alpha_p Lap`` in the 2-D DCT-II basis,
-    computed once per ``(shape, alpha_w, alpha_p)`` and returned read-only."""
+    """Eigenvalues of ``alpha_w I - alpha_p Lap`` in the 2-D DCT-II basis of
+    an ``(H, W)`` image, computed once per ``(shape, alpha_w, alpha_p)`` and
+    returned read-only."""
     h, w = shape
     eig = alpha_w + alpha_p * (
         _neg_laplacian_eigenvalues(h)[:, None] + _neg_laplacian_eigenvalues(w)[None, :]
@@ -42,21 +43,22 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
     """Solve (alpha_w I - alpha_p Lap) u = rhs exactly.
 
     Args:
-        rhs: right-hand side image (H, W).
+        rhs: right-hand side image (H, W), or a stack (B, H, W) of them,
+            each solved on its own with the bytes of its own solve.
         alpha_w: screening weight, must be > 0.
         alpha_p: diffusion weight, must be >= 0.
 
     Returns:
-        The solution image.  The operator's eigenvalues are all at least
-        ``alpha_w``, so the division never meets a zero; the result is exact
-        up to the rounding of the two transforms.
+        The solution image or stack.  The operator's eigenvalues are all at
+        least ``alpha_w``, so the division never meets a zero; the result is
+        exact up to the rounding of the two transforms.
     """
     if not alpha_w > 0.0:
         raise ValueError("alpha_w must be positive")
     if not alpha_p >= 0.0:
         raise ValueError("alpha_p must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
-    eig = _operator_eigenvalues(rhs.shape, alpha_w, alpha_p)
-    coeffs = dctn(rhs, type=2, norm="ortho")
+    eig = _operator_eigenvalues(rhs.shape[-2:], alpha_w, alpha_p)
+    coeffs = dctn(rhs, type=2, norm="ortho", axes=(-2, -1))
     coeffs /= eig
-    return idctn(coeffs, type=2, norm="ortho")
+    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))

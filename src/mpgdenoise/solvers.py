@@ -33,9 +33,20 @@ explicit ``SolverConfig.chambolle`` sets the depth of every method.
 
 Each solver supplies only its outer iteration (calling the step functions
 below) and its diagnostics to one driver, ``_run``, which owns the loop, the
-clock, the per-iteration :class:`TraceRecord` list and the one stop rule:
-the relative step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or
-``max_iters`` outer iterations are done.
+clock, the :class:`TraceRecord` lists and the one stop rule: the relative
+step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or ``max_iters`` outer
+iterations are done.
+
+Every solver also takes a stack ``(B, H, W)`` of same-shape observations and
+runs them as one solve: each subproblem is pointwise, a finite-difference
+stencil, a TV dual step or one 2-D DCT, so all images share every numpy
+call.  Each image stops on its own relative step and then leaves the stack,
+and gets the ``u`` bytes, iteration count and final record (``seconds``
+aside) of its own solve.  A stack's trace holds only each image's final
+record: per-iteration diagnostics would cost more than the stacking saves.
+Each solve keeps its iterates and work arrays in one namespace, which has
+the attributes of a :class:`SolverState` and goes to the step functions in
+its place.
 
 Within one outer iteration of a bilinear solver each full-size quantity is
 formed once and shared with the trace diagnostics.  The multiplier step
@@ -69,15 +80,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .chambolle import ChambolleConfig, _tv_l2_in_place, soft_threshold, tv_l2_energy
 from .grid import (
     DomainError,
-    as_image,
+    as_images,
     divergence,
     dot,
+    field_shape,
     gradient,
     ln,
     magnitude,
@@ -182,33 +195,88 @@ def alpha_condition(alpha: float, lambda2: float, epsilon: float, trace) -> tupl
 
 
 def _rel_norm(num: np.ndarray, ref: np.ndarray) -> float:
-    den = float(np.linalg.norm(ref))
-    return float(np.linalg.norm(num)) / (den if den > 0.0 else 1.0)
+    den = math.sqrt(dot(ref, ref))
+    return math.sqrt(dot(num, num)) / (den if den > 0.0 else 1.0)
 
 
-def _run(cfg: SolverConfig, truth, u0: np.ndarray, step, diagnose):
-    """Outer loop of every solver: ``step(k)`` runs iteration ``k`` and returns
-    the new ``u``, ``diagnose()`` the trace columns objective through
-    constraint_residual.  Returns ``(u, trace)``."""
-    u = u0
-    trace: list[TraceRecord] = []
-    start = time.perf_counter()
+def _as_stack(f):
+    """Validated observations as a stack ``(B, H, W)``, and whether ``f``
+    was a single image."""
+    f = as_images(f)
+    return (f[None], True) if f.ndim == 2 else (f, False)
+
+
+def _image(s: SimpleNamespace, i: int) -> SimpleNamespace:
+    """The arrays of image ``i`` of the stack held in ``s``."""
+    return SimpleNamespace(**{k: v[i] if isinstance(v, np.ndarray) else v for k, v in vars(s).items()})
+
+
+def _keep(s: SimpleNamespace, idx: list[int]) -> None:
+    """Drop from every array in ``s`` the images not listed in ``idx``."""
+    for k, v in list(vars(s).items()):
+        if isinstance(v, np.ndarray):
+            setattr(s, k, v[idx])
+
+
+def _columns(img: SimpleNamespace, diagnose, truth, b: int) -> tuple:
+    """Trace columns objective through snr of one image's arrays ``img``,
+    input ``b`` of the solve.  (A helper, so that no view of this iteration's
+    arrays outlives the call and holds them through the next step.)"""
+    snr_b = None
+    if truth is not None:
+        snr_b = snr(img.u, truth if truth.ndim == 2 else truth[b])
+    return (*diagnose(img), snr_b)
+
+
+def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool):
+    """Outer loop of every solver, over a stack of one or more images.
+
+    ``s`` holds every array of the solve with the images on the leading axis,
+    ``s.u`` the current stack ``(B, H, W)``; ``step(s, k)`` runs iteration
+    ``k`` on it in place, replacing ``s.u``, and ``diagnose(img)`` returns
+    the trace columns objective through constraint_residual from one image's
+    arrays (:func:`_image`).  ``truth`` is one image, which applies to every
+    image, or a stack of them.
+
+    Each image stops on its own relative step and leaves the stack then.  Its
+    ``seconds`` is its even share of each iteration's wall time, summed.  For
+    ``solo`` (a single-image input) the result is ``(u, trace)`` with a record
+    per iteration; otherwise ``(u, traces)``, the stack of outputs and one
+    list per image holding its final record only.
+    """
+    if truth is not None:
+        truth = np.asarray(truth, dtype=np.float64)
+    n = len(s.u)
+    active = list(range(n))  # the input position of each image left in s
+    outs = [None] * n
+    traces = [[] for _ in range(n)]
+    seconds = [0.0] * n
+    tick = time.perf_counter()
     for k in range(1, cfg.max_iters + 1):
-        u_prev = u
-        u = step(k)
-        se = _rel_norm(u - u_prev, u_prev)
-        trace.append(
-            TraceRecord(
-                k,
-                se,
-                *diagnose(),
-                snr=None if truth is None else snr(u, truth),
-                seconds=time.perf_counter() - start,
-            )
-        )
-        if se <= cfg.xi:
-            break
-    return u, trace
+        u_prev = s.u
+        step(s, k)
+        se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
+        done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
+        traced = range(len(active)) if solo else done
+        columns = {i: _columns(_image(s, i), diagnose, truth, active[i]) for i in traced}
+        now = time.perf_counter()
+        share = (now - tick) / len(active)
+        tick = now
+        for i, b in enumerate(active):
+            seconds[b] += share
+            if i in columns:
+                traces[b].append(TraceRecord(k, se[i], *columns[i], seconds=seconds[b]))
+        if done:
+            for i in done:
+                outs[active[i]] = s.u[i]
+            keep = [i for i in range(len(active)) if i not in done]
+            if not keep:
+                break
+            _keep(s, keep)
+            active = [active[i] for i in keep]
+    if solo:
+        return outs[0], traces[0]
+    return np.stack(outs), traces
 
 
 def _bilinear_diagnostics(
@@ -267,14 +335,15 @@ def _bilinear_diagnostics(
 
 
 def bca_init(f: np.ndarray) -> SolverState:
-    """Start from the observation: u = v = f, w = 1, zero multiplier."""
-    f = as_image(f)
+    """Start from the observation (an image or a stack): u = v = f, w = 1,
+    zero multiplier."""
+    f = as_images(f)
     return SolverState(
         u=f.copy(),
         v=f.copy(),
         w=np.ones_like(f),
         lam_w=np.zeros_like(f),
-        dual=np.zeros((2,) + f.shape),
+        dual=np.zeros(field_shape(f.shape)),
     )
 
 
@@ -389,28 +458,25 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
     """Run the bilinear-constraint solver on observation ``f``.
 
     Returns ``(u, trace)``.  ``truth``, when given, adds an SNR column to the
-    trace.  Deterministic: identical inputs give bit-identical outputs.
+    trace.  Deterministic: identical inputs give bit-identical outputs.  A
+    stack ``f`` of shape ``(B, H, W)`` returns the stacked outputs and one
+    final-record trace per image (see :func:`_run`).
     """
-    f = as_image(f)
-    state = bca_init(f)
-    lambda1_f = cfg.lambda1 * f
-    gap = np.empty_like(f)
-    log_w = None  # ln(state.w), taken by the diagnostics, reused by the next v-step
+    f, solo = _as_stack(f)
+    s = SimpleNamespace(**vars(bca_init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), log_w=None)
 
-    def step(k):
-        state.u = bca_u_step(state, f, cfg)
-        state.v = bca_v_step(state, f, cfg, log_w, lambda1_f)
-        state.w = bca_w_step(state, cfg)
-        state.lam_w = bca_multiplier_step(state, cfg, gap)
-        state.iters = k
-        return state.u
+    def step(s, k):
+        s.u = bca_u_step(s, s.f, cfg)
+        s.v = bca_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
+        s.w = bca_w_step(s, cfg)
+        s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
+        s.lam_w = bca_multiplier_step(s, cfg, s.gap)
+        s.iters = k
 
-    def diagnose():
-        nonlocal log_w
-        log_w = ln(state.w)
-        return _bilinear_diagnostics(state, f, cfg, gap=gap, log_w=log_w)
+    def diagnose(s):
+        return _bilinear_diagnostics(s, s.f, cfg, gap=s.gap, log_w=s.log_w)
 
-    return _run(cfg, truth, state.u, step, diagnose)
+    return _run(cfg, truth, s, step, diagnose, solo)
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +484,14 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
 
 
 def bcaf_init(f: np.ndarray) -> SolverState:
-    f = as_image(f)
+    f = as_images(f)
     return SolverState(
         u=f.copy(),
         v=f.copy(),
         w=np.ones_like(f),
         lam_w=np.zeros_like(f),
-        p=np.zeros((2,) + f.shape),
-        lam_p=np.zeros((2,) + f.shape),
+        p=np.zeros(field_shape(f.shape)),
+        lam_p=np.zeros(field_shape(f.shape)),
     )
 
 
@@ -487,31 +553,33 @@ def bcaf_multiplier_step(
 
 
 def bcaf_solve(f, cfg: SolverConfig, truth=None):
-    """Run the flux-split solver on observation ``f``; returns ``(u, trace)``."""
-    f = as_image(f)
-    state = bcaf_init(f)
-    lambda1_f = cfg.lambda1 * f
-    grad_u = np.empty_like(state.p)
-    gap = np.empty_like(f)
-    gap_p = np.empty_like(state.p)
-    log_w = None  # ln(state.w), taken by the diagnostics, reused by the next v-step
+    """Run the flux-split solver on observation ``f`` (an image or a stack);
+    returns ``(u, trace)`` as :func:`bca_solve` does."""
+    f, solo = _as_stack(f)
+    s = SimpleNamespace(
+        **vars(bcaf_init(f)),
+        f=f,
+        lambda1_f=cfg.lambda1 * f,
+        grad_u=np.empty(field_shape(f.shape)),
+        gap=np.empty_like(f),
+        gap_p=np.empty(field_shape(f.shape)),
+        log_w=None,
+    )
 
-    def step(k):
-        state.u = bcaf_u_step(state, f, cfg)
-        gradient(state.u, out=grad_u)
-        state.v = bcaf_v_step(state, f, cfg, log_w, lambda1_f)
-        state.w = bcaf_w_step(state, cfg)
-        state.p = bcaf_p_step(state, cfg, grad_u)
-        state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u, gap, gap_p)
-        state.iters = k
-        return state.u
+    def step(s, k):
+        s.u = bcaf_u_step(s, s.f, cfg)
+        gradient(s.u, out=s.grad_u)
+        s.v = bcaf_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
+        s.w = bcaf_w_step(s, cfg)
+        s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
+        s.p = bcaf_p_step(s, cfg, s.grad_u)
+        s.lam_w, s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap, s.gap_p)
+        s.iters = k
 
-    def diagnose():
-        nonlocal log_w
-        log_w = ln(state.w)
-        return _bilinear_diagnostics(state, f, cfg, grad_u, gap, gap_p, log_w)
+    def diagnose(s):
+        return _bilinear_diagnostics(s, s.f, cfg, s.grad_u, s.gap, s.gap_p, s.log_w)
 
-    return _run(cfg, truth, state.u, step, diagnose)
+    return _run(cfg, truth, s, step, diagnose, solo)
 
 
 # ---------------------------------------------------------------------------
@@ -524,23 +592,21 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
     One outer iteration is one warm-started block of ``cfg.chambolle``
     dual-projection steps (``ChambolleConfig()`` when ``None``), so the whole
     run composes into a single long high-accuracy solve while still emitting
-    per-block trace records.
+    per-block trace records.  ``f`` may be a stack, as in :func:`bca_solve`.
     """
-    f = as_image(f)
+    f, solo = _as_stack(f)
     if not lam > 0.0:
         raise DomainError("fidelity weight must be positive")
-    u = dual = None
+    s = SimpleNamespace(f=f, u=f, dual=None)
 
-    def step(k):
-        nonlocal u, dual
-        u, dual = _tv_l2_in_place(f, lam, cfg.chambolle, dual)
-        return u
+    def step(s, k):
+        s.u, s.dual = _tv_l2_in_place(s.f, lam, cfg.chambolle, s.dual)
 
-    def diagnose():
-        val = tv_l2_energy(u, f, lam)
+    def diagnose(s):
+        val = tv_l2_energy(s.u, s.f, lam)
         return val, val, None, None, None
 
-    return _run(cfg, truth, f, step, diagnose)
+    return _run(cfg, truth, s, step, diagnose, solo)
 
 
 def kl_z_update(u, mu, f, lam: float, rho: float):
@@ -561,30 +627,26 @@ def tv_kl_solve(f, lam: float, cfg: SolverConfig, truth=None):
     ADMM on the split ``z = u`` with penalty ``cfg.alpha``: the ``z`` update
     is the positive root of a pointwise quadratic, the ``u`` update a
     warm-started TV-L2 step at weight ``cfg.alpha``.  Requires ``f >= 0``.
+    ``f`` may be a stack, as in :func:`bca_solve`.
     """
-    f = as_image(f)
+    f, solo = _as_stack(f)
     if not lam > 0.0:
         raise DomainError("fidelity weight must be positive")
     if np.min(f) < 0.0:
         raise DomainError("Poisson fidelity needs a nonnegative observation")
     rho = cfg.alpha
-    u = f.copy()
-    z = f.copy()
-    mu = np.zeros_like(f)
-    dual = None
+    s = SimpleNamespace(f=f, u=f.copy(), z=f.copy(), mu=np.zeros_like(f), dual=None)
 
-    def step(k):
-        nonlocal u, z, mu, dual
-        u, dual = _tv_l2_in_place(z + mu / rho, rho, cfg.chambolle, dual)
-        z = kl_z_update(u, mu, f, lam, rho)
-        mu = mu + rho * (z - u)
-        return u
+    def step(s, k):
+        s.u, s.dual = _tv_l2_in_place(s.z + s.mu / rho, rho, cfg.chambolle, s.dual)
+        s.z = kl_z_update(s.u, s.mu, s.f, lam, rho)
+        s.mu = s.mu + rho * (s.z - s.u)
 
-    def diagnose():
-        log_u = np.log(np.maximum(u, 1e-12))
-        val = lam * float(np.sum(u - np.where(f > 0.0, f * log_u, 0.0))) + total_variation(u)
-        gap = z - u
-        lagrangian = val + float(np.sum(mu * gap)) + 0.5 * rho * float(np.sum(gap * gap))
+    def diagnose(s):
+        log_u = np.log(np.maximum(s.u, 1e-12))
+        val = lam * float(np.sum(s.u - np.where(s.f > 0.0, s.f * log_u, 0.0))) + total_variation(s.u)
+        gap = s.z - s.u
+        lagrangian = val + float(np.sum(s.mu * gap)) + 0.5 * rho * float(np.sum(gap * gap))
         return val, lagrangian, None, None, None
 
-    return _run(cfg, truth, u, step, diagnose)
+    return _run(cfg, truth, s, step, diagnose, solo)

@@ -274,7 +274,7 @@ def test_cells_solve_without_truth(tmp_path, monkeypatch):
     truths = []
 
     def recording(f, cfg, truth=None):
-        truths.append(truth)
+        truths.extend([truth] * (len(f) if np.ndim(f) == 3 else 1))  # one per image passed
         return original(f, cfg, truth=truth)
 
     monkeypatch.setattr(solvers, "bca_solve", recording)
@@ -286,6 +286,99 @@ def test_cells_solve_without_truth(tmp_path, monkeypatch):
     monkeypatch.setattr(solvers, "bca_solve", lambda f, cfg, truth=None: original(f, cfg, truth=clean))
     spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "b"), "b.ini"))
     assert strip(read_rows(run_bench(spec, threads=1))) == strip(rows)
+
+
+ALL_METHODS_SPEC = """\
+    [experiment]
+    image = circles
+    width = 16
+    height = 12
+    seeds = 0 1 2 3 4
+    output_dir = {out}
+
+    [noise.lo]
+    eta = 4
+    sigma = 1e-4
+
+    [noise.hi]
+    eta = 16
+    sigma = 1e-2
+
+    [solver.bca]
+    method = bca
+    lambda1 = 8
+    lambda2 = 2.5
+    xi = 2e-3
+
+    [solver.bcaf]
+    method = bcaf
+    lambda1 = 8
+    lambda2 = 2.5
+    xi = 2e-3
+
+    [solver.tvl2]
+    method = tvl2
+    lambda1 = 3
+    lambda2 = 2.5
+
+    [solver.tvkl]
+    method = tvkl
+    lambda1 = 8
+    lambda2 = 2.5
+    xi = 2e-3
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stacked_rows_equal_solo_rows(tmp_path, monkeypatch, threads):
+    """The seeds of a group run as stacks of at most STACK_PIXELS pixels; the
+    rows, timing aside, are those of solving every cell alone."""
+    images = []
+    for name in ("bca_solve", "bcaf_solve", "tv_l2_solve", "tv_kl_solve"):
+        real = getattr(solvers, name)
+
+        def spy(f, *args, real=real, **kwargs):
+            images.append(len(f) if np.ndim(f) == 3 else 1)
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, spy)
+    rows = {}
+    for budget in (3 * 16 * 12, 1):  # stacks of 3 and 2 seeds; every cell alone
+        monkeypatch.setattr(bench, "STACK_PIXELS", budget)
+        out = tmp_path / f"o{budget}"
+        spec = load_experiment(write_spec(tmp_path, ALL_METHODS_SPEC.format(out=out), f"{budget}.ini"))
+        rows[budget] = read_rows(run_bench(spec, threads=threads))
+    if threads == 1:  # the forked workers' calls are not seen here
+        assert images == [3, 2] * 8 + [1] * 40
+    assert strip(rows[1]) == strip(rows[3 * 16 * 12])
+    assert len(rows[1]) == 40 + 8 and all(r["status"].startswith("ok") for r in rows[1])
+    assert len({r["iters"] for r in rows[1] if r["solver"] == "bca" and r["seed"] != "mean"}) > 1
+
+
+def test_stack_that_fails_for_one_seed_gives_that_cell_an_error_row(tmp_path, monkeypatch):
+    """A stack whose solve raises is solved again cell by cell, so only the
+    failing cell gets an error row, and the wrapper sees every call."""
+    real = solvers.bca_solve
+    truth = make_phantom("flat", 16, 16)
+    poison = {eta: corrupt(truth, NoiseSpec(eta=eta, sigma=s, seed=1)) for eta, s in ((2.0, 1e-4), (8.0, 1e-2))}
+    calls = []
+
+    def fails_for_seed_1(f, cfg, truth=None):
+        calls.append(np.ndim(f))
+        if any(np.array_equal(g, bad) for g in np.reshape(f, (-1, 16, 16)) for bad in poison.values()):
+            raise FloatingPointError("diverged")
+        return real(f, cfg, truth=truth)
+
+    monkeypatch.setattr(solvers, "bca_solve", fails_for_seed_1)
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
+    rows = read_rows(run_bench(spec, threads=1))
+    assert calls == [3, 2, 2, 2] * 2  # per noise level: the stack, then each cell
+    status = {(r["eta"], r["solver"], r["seed"]): r["status"] for r in rows}
+    for eta in ("2", "8"):
+        assert status[(eta, "bca", "1")] == "error: diverged"
+        assert status[(eta, "bca", "0")] == status[(eta, "bca", "2")] == "ok"
+        assert status[(eta, "bca", "mean")] == "ok (2/3)"
+        assert all(status[(eta, "tvl2", seed)] == "ok" for seed in "012")
 
 
 def test_nonfinite_noise_level_names_the_spec(tmp_path):

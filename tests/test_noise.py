@@ -240,6 +240,36 @@ def test_circles_phantom():
     assert u[0, 0] == 0.1  # corner is background
 
 
+def meshgrid_circles(width, height):
+    """The circles phantom on full ``meshgrid`` index arrays, the way it was
+    first written; kept here as the byte oracle of the open-grid version."""
+    u = np.full((height, width), 0.1)
+    yy, xx = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
+    scale = min(width, height)
+    for cx, cy, r, value in [
+        (0.32, 0.30, 0.23, 1.00),
+        (0.70, 0.28, 0.14, 0.55),
+        (0.30, 0.72, 0.16, 0.75),
+        (0.68, 0.70, 0.17, 0.35),
+        (0.52, 0.50, 0.08, 0.90),
+    ]:
+        u[(xx - cx * width) ** 2 + (yy - cy * height) ** 2 <= (r * scale) ** 2] = value
+    return u
+
+
+@pytest.mark.parametrize("width, height", [(8, 8), (64, 64), (257, 129), (33, 700), (1024, 1024)])
+def test_circles_bytes_match_meshgrid_formula(width, height):
+    got = make_phantom("circles", width, height)
+    assert got.tobytes() == meshgrid_circles(width, height).tobytes()
+
+
+def test_circles_memory(transient_peak):
+    """The output, one float image for a disk test and its mask: no
+    full-size index grids (with them the call held 5.1 images)."""
+    u, peak = transient_peak(make_phantom, "circles", 512, 512)
+    assert peak <= 2.5 * u.nbytes
+
+
 def test_phantom_is_deterministic():
     np.testing.assert_array_equal(
         make_phantom("circles", 48, 40), make_phantom("circles", 48, 40)
