@@ -17,7 +17,7 @@ from .grid import (
     laplacian,
     total_variation,
 )
-from .metrics import SSIMConfig, objective_H, snr, ssim
+from .metrics import objective_H, snr, ssim
 from .noise import NoiseSpec, corrupt, make_phantom
 from .screened_poisson import solve_screened_poisson
 from .solvers import (
@@ -41,7 +41,6 @@ __all__ = [
     "ShapeMismatchError",
     "SolverConfig",
     "SolverState",
-    "SSIMConfig",
     "TraceRecord",
     "alpha_condition",
     "alpha_lower_bound",

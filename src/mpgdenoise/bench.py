@@ -15,8 +15,7 @@ Experiment files are INI-style (configparser), e.g.::
 
     [solver.bca]
     method = bca
-    lambda1 = 8
-    lambda2 = 2.5
+    lambda1 = 8              ; omitted fields keep the SolverConfig defaults
     alpha = 200
 
 Any one numeric solver field may hold a space-separated list (``alpha = 20
@@ -32,15 +31,16 @@ even share of the wall time of each iteration it was in the stack, and the
 trace the row reads is the solver's final record.
 
 Stacks are independent and run in forked worker processes, at most one per
-usable core (``threads=``, else the ``MPG_THREADS`` environment variable,
-else all usable cores; 1 forces serial execution, as does a platform
-without the ``fork`` start method).  Processes, not threads: a solve is
-thousands of small numpy calls, and worker threads would spend their time
-passing the interpreter lock back and forth.  Rows are gathered and
-written by the caller in a fixed order, so identical inputs give identical
-CSVs aside from the timing column.  A failing cell is recorded in its row's
-status column and does not stop the harness: when a stack's solve raises,
-its cells are solved again one by one, so each keeps its own status.
+usable core (``threads=``, which must be positive, else the ``MPG_THREADS``
+environment variable, else all usable cores; 1 forces serial execution, as
+does a platform without the ``fork`` start method).  Processes, not
+threads: a solve is thousands of small numpy calls, and worker threads would
+spend their time passing the interpreter lock back and forth.  Rows are
+gathered and written by the caller in a fixed order, so identical inputs
+give identical CSVs aside from the timing column.  A failing cell is
+recorded in its row's status column and does not stop the harness: when a
+stack's solve raises, its cells are solved again one by one, so each keeps
+its own status.
 """
 
 from __future__ import annotations
@@ -222,8 +222,11 @@ def _usable_cores() -> int:
 
 def thread_count(requested: int | None = None) -> int:
     """Worker processes asked for: ``requested``, else ``MPG_THREADS``, else
-    all usable cores."""
-    if requested is not None and requested > 0:
+    all usable cores.  A nonpositive ``requested`` raises ``ValueError``; a
+    nonpositive ``MPG_THREADS`` falls through to all usable cores."""
+    if requested is not None:
+        if requested < 1:
+            raise ValueError(f"threads must be positive, got {requested}")
         return requested
     env = os.environ.get("MPG_THREADS", "")
     if env.strip():
@@ -237,7 +240,11 @@ def thread_count(requested: int | None = None) -> int:
 
 
 def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
-    """Run the whole experiment grid; returns the results CSV path."""
+    """Run the whole experiment grid; returns the results CSV path.
+
+    ``threads`` is resolved by :func:`thread_count` before any work is done.
+    """
+    threads = thread_count(threads)
     truth = _load_truth(spec)
     image_label = (
         spec.image_source
@@ -254,7 +261,7 @@ def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
         for (label, method, cfg) in spec.solvers
         for i in range(0, len(spec.seeds), per_stack)
     ]
-    n_workers = max(1, min(thread_count(threads), len(stacks), _usable_cores()))
+    n_workers = max(1, min(threads, len(stacks), _usable_cores()))
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         batches = [_run_cells(*stack) for stack in stacks]
     else:

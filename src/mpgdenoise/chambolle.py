@@ -10,11 +10,12 @@ pointwise length at most one):
     q <- (q + tau * grad(div q - weight * g)) / (1 + tau * |grad(div q - weight * g)|)
     u  = g - (1 / weight) * div q
 
-The step size ``tau = 0.25`` keeps the iteration stable because the discrete
-gradient has squared operator norm at most 8.  The dual field is returned so
-callers that solve a sequence of slowly-changing problems (the outer ADMM
-loops here) can warm-start; two consecutive warm-started calls compose into
-one longer run of the same iteration, exactly.
+The step size ``tau`` is the constant ``TAU = 0.25``, which keeps the
+iteration stable because the discrete gradient has squared operator norm at
+most 8.  The dual field is updated in place and returned, so callers that
+solve a sequence of slowly-changing problems (the outer ADMM loops here) can
+warm-start without copying it; two consecutive warm-started calls compose
+into one longer run of the same iteration, exactly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ import numpy as np
 from .grid import DomainError, divergence, field_shape, gradient, magnitude, total_variation
 
 
+#: the dual step ``tau``: 1/4 is the largest stable step (see above)
+TAU = 0.25
+
+
 @dataclass
 class ChambolleConfig:
     """Inner-loop controls for the dual-projection TV solver.
@@ -33,66 +38,56 @@ class ChambolleConfig:
     ``inner_iters`` = 10 is the depth of the baselines ``tvl2``/``tvkl``; a
     ``SolverConfig`` that sets no ``ChambolleConfig`` runs ``bca`` at its own
     depth of 2 (see :mod:`mpgdenoise.solvers`).  Warm-started depths should
-    be even: at ``tau = 1/4`` the iteration has a period-2 mode, which an
+    be even: at ``TAU = 1/4`` the iteration has a period-2 mode, which an
     odd depth leaves oscillating from one call to the next.
     """
 
     inner_iters: int = 10
-    tau: float = 0.25
 
     def __post_init__(self):
         if self.inner_iters < 1:
             raise ValueError("inner_iters must be >= 1")
-        if not 0.0 < self.tau <= 0.25:
-            raise ValueError("tau must be in (0, 0.25] (dual-step stability bound)")
 
 
-def tv_l2_denoise(g, weight, cfg=None, warm_dual=None):
+def tv_l2_denoise(g, weight, cfg=None, dual=None):
     """Run ``cfg.inner_iters`` dual-projection steps on the TV-L2 problem.
 
     Args:
-        g: observation image, shape (H, W).
+        g: observation image ``(H, W)``, or a stack ``(B, H, W)`` of them.
         weight: positive fidelity weight (larger -> closer to ``g``).
         cfg: ChambolleConfig; defaults to ``ChambolleConfig()``.
-        warm_dual: optional dual field (2, H, W) from a previous call on a
-            nearby problem; ``None`` starts from the zero field.
+        dual: the dual field to start from and update in place, a float64
+            array of ``field_shape(g.shape)``; ``None`` starts from the zero
+            field in a new array.
 
     Returns:
         (u, dual): the primal estimate ``g - (1/weight) * div(dual)`` and the
-        final dual field for later warm starts.
+        dual field itself, for later warm starts.
 
-    ``warm_dual`` is copied, never written.
-    """
-    if warm_dual is not None:
-        warm_dual = np.array(warm_dual, dtype=np.float64, copy=True)
-    return _tv_l2_in_place(g, weight, cfg, warm_dual)
-
-
-def _tv_l2_in_place(g, weight, cfg, dual):
-    """:func:`tv_l2_denoise` run on ``dual`` itself, for callers that own it.
-
-    A float64 ``dual`` is updated in place and returned, so no copy of the
-    field is made; ``None`` starts from the zero field.  ``g`` may also be a
-    stack ``(B, H, W)``, with a ``(B, 2, H, W)`` dual, and each image gets the
-    bytes of its own solve.  The work arrays are allocated once per call and
-    every step runs in place on them, with the operations in the order of the
-    update formula, so the result is bit-identical to evaluating that formula
-    with fresh arrays.
+    A stack gives each image the bytes of its own solve.  The work arrays
+    are allocated once per call and every step runs in place on them, with
+    the operations in the order of the update formula, so the result is
+    bit-identical to evaluating that formula with fresh arrays.
     """
     if cfg is None:
         cfg = ChambolleConfig()
     if not weight > 0.0:
         raise DomainError("fidelity weight must be positive")
     g = np.asarray(g, dtype=np.float64)
+    shape = field_shape(g.shape)
     if dual is None:
-        q = np.zeros(field_shape(g.shape))
-    else:
-        q = np.asarray(dual, dtype=np.float64)
+        q = np.zeros(shape)
+    elif isinstance(dual, np.ndarray) and dual.dtype == np.float64 and dual.shape == shape:
+        q = dual
+    else:  # np.asarray would quietly copy it, and the caller's dual stay unwritten
+        raise ValueError(
+            f"dual must be a float64 array of shape {shape}, "
+            f"got {getattr(dual, 'dtype', type(dual).__name__)} {np.shape(dual)}"
+        )
 
-    tau = cfg.tau
     wg = weight * g
     # work arrays: z = div q - weight*g (then scratch for t_y^2), t = grad z,
-    # m = 1 + tau*|t|, seen by q through m_q
+    # m = 1 + TAU*|t|, seen by q through m_q
     z = np.empty(g.shape)
     t = np.empty(q.shape)
     m = np.empty(g.shape)
@@ -104,10 +99,10 @@ def _tv_l2_in_place(g, weight, cfg, dual):
         np.square(t[..., 0, :, :], out=m)
         m += np.square(t[..., 1, :, :], out=z)
         np.sqrt(m, out=m)
-        m *= tau
+        m *= TAU
         m += 1.0
-        # q <- (q + tau*t) / m, in the same rounding order as that expression
-        t *= tau
+        # q <- (q + TAU*t) / m, in the same rounding order as that expression
+        t *= TAU
         q += t
         q /= m_q
     divergence(q, out=z)

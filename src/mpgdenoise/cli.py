@@ -14,15 +14,15 @@ bca and 10 for the baselines).  For the single-fidelity baselines the weight
 comes from the matching flag: ``--lambda1`` for tvl2 (quadratic fidelity),
 ``--lambda2`` for tvkl (Poisson fidelity).  ``denoise`` can also read a
 ``[solver]`` section from an INI file via ``--spec``; precedence is flags >
-spec file > defaults (``lambda1=8`` and ``lambda2=2.5`` here, the rest those
-of SolverConfig), and the resolved values are echoed as ``#`` comments at
-the top of the trace CSV.
+spec file > the defaults of SolverConfig (``lambda1=8``, ``lambda2=2.5``),
+and the resolved values are echoed as ``#`` comments at the top of the trace
+CSV.
 
 Exit codes: 0 success; 1 bad argument (a flag or setting the command or the
-model rejects); 2 unreadable or malformed file or spec (an image, an INI
-file, a ``--truth`` image whose shape differs from ``--input``, a bench spec
-whose phantom is too small), or an output that cannot be written; 3 solver
-failure.
+model rejects, such as ``--threads 0``); 2 unreadable or malformed file or
+spec (an image, an INI file, a ``--truth`` image whose shape differs from
+``--input``, a bench spec whose phantom is too small), or an output that
+cannot be written; 3 solver failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import argparse
 import os
 import sys
 
-from .bench import load_experiment, read_ini, run_bench, ssim_or_none, thread_count
+from .bench import load_experiment, read_ini, run_bench, ssim_or_none
 from .fileio import FormatError, read_image, write_image, write_trace
 from .grid import DomainError
 from .methods import CONFIG_FIELDS, METHODS, build_config, config_values, run_method
@@ -48,10 +48,6 @@ EXIT_SOLVER = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); main owns the codes
         raise ValueError(message)
-
-
-# SolverConfig has no defaults for the model weights; the command line does
-_WEIGHT_DEFAULTS = {"lambda1": 8.0, "lambda2": 2.5}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -97,8 +93,8 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args) -> SolverConfig:
-    """defaults < spec-file [solver] section < explicit flags"""
-    values = dict(_WEIGHT_DEFAULTS)
+    """SolverConfig defaults < spec-file [solver] section < explicit flags"""
+    values = {}
     if args.spec:
         ini = read_ini(args.spec)
         if "solver" in ini:
@@ -184,7 +180,7 @@ def cmd_bench(args) -> int:
     spec = load_experiment(args.spec)
     if args.output_dir:
         spec.output_dir = args.output_dir
-    path = run_bench(spec, threads=thread_count(args.threads))
+    path = run_bench(spec, threads=args.threads)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -1,12 +1,12 @@
 """The method table and the solver-config builder shared by ``mpg denoise``
-and the bench harness; field names, types and defaults come from the config
-dataclasses themselves.
+and the bench harness.  Field names, types and defaults, the model weights'
+included, come from the config dataclasses themselves and nowhere else.
 """
 
 from __future__ import annotations
 
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +76,8 @@ def build_config(values: dict, source: str) -> SolverConfig:
 
     Omitted fields keep their dataclass defaults; an omitted ``inner_iters``
     leaves ``chambolle`` unset, so each method runs its own depth.  An
-    unknown or missing field, or a value that does not parse as its field's
-    type, raises :class:`FormatError` naming ``source``; a value the config
+    unknown field, or a value that does not parse as its field's type,
+    raises :class:`FormatError` naming ``source``; a value the config
     rejects raises its ``ValueError``.
     """
     parsed = {}
@@ -88,13 +88,6 @@ def build_config(values: dict, source: str) -> SolverConfig:
             parsed[key] = CONFIG_FIELDS[key](value)
         except ValueError as exc:
             raise FormatError(f"{source}: {key}: {exc}") from exc
-    missing = [
-        f.name
-        for f in fields(SolverConfig)
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in parsed
-    ]
-    if missing:
-        raise FormatError(f"{source}: solver settings need {' and '.join(missing)}")
     if "inner_iters" in parsed:
         parsed["chambolle"] = ChambolleConfig(inner_iters=parsed.pop("inner_iters"))
     return SolverConfig(**parsed)

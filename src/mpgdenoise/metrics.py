@@ -1,9 +1,12 @@
-"""Reconstruction quality metrics and the model objective."""
+"""Reconstruction quality metrics and the model objective.
+
+SSIM uses the fixed window and constants of Wang et al. (IEEE TIP 2004),
+with the dynamic range 1 of the images this package writes.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -13,9 +16,13 @@ from .grid import DomainError, ShapeMismatchError, dot, total_variation
 #: SNR values are capped here so an exact reconstruction reports a finite number.
 SNR_CAP_DB = 300.0
 
-#: standard deviation of the SSIM window (the window size is configurable,
-#: its shape is not)
-_SSIM_SIGMA = 1.5
+#: SSIM window size (pixels per side), the window's standard deviation, the
+#: two stabilizing constants and the dynamic range ``L`` of the images
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+SSIM_DYNAMIC_RANGE = 1.0
 
 
 def snr(u, truth) -> float:
@@ -38,25 +45,11 @@ def snr(u, truth) -> float:
     return min(-10.0 * math.log10(err / energy), SNR_CAP_DB)
 
 
-@dataclass
-class SSIMConfig:
-    window: int = 11
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
-
-    def __post_init__(self):
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError("window must be an odd integer >= 3")
-        if not self.dynamic_range > 0.0:
-            raise ValueError("dynamic_range must be positive")
-
-
 def _gaussian_window(size: int) -> np.ndarray:
     """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     half = (size - 1) / 2.0
     x = np.arange(size) - half
-    g = np.exp(-(x**2) / (2.0 * _SSIM_SIGMA**2))
+    g = np.exp(-(x**2) / (2.0 * SSIM_SIGMA**2))
     return g / g.sum()
 
 
@@ -66,40 +59,38 @@ def _smooth(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return sliding_window_view(rows, g.size, axis=0) @ g
 
 
-def ssim(a, b, cfg: SSIMConfig | None = None) -> float:
+def ssim(a, b) -> float:
     """Mean structural similarity over the valid (fully-windowed) region.
 
     Gaussian-weighted local statistics, the usual two stabilizing constants
-    ``(k1 L)^2`` and ``(k2 L)^2``, and no padding: windows that would stick
+    ``(K1 L)^2`` and ``(K2 L)^2``, and no padding: windows that would stick
     out of the image are dropped, so both dimensions must be at least the
-    window size.  Larger is better; identical images score exactly 1.
+    window size, 11.  Larger is better; identical images score exactly 1.
 
-    The window is the 2-D Gaussian of standard deviation 1.5 (Wang et al.,
-    IEEE TIP 2004).  It is separable, so each local statistic is two 1-D
-    passes of the normalized 1-D Gaussian, along rows and then along
-    columns, which equals the 2-D correlation up to rounding.
+    The window is the 2-D Gaussian of standard deviation 1.5.  It is
+    separable, so each local statistic is two 1-D passes of the normalized
+    1-D Gaussian, along rows and then along columns, which equals the 2-D
+    correlation up to rounding.
     """
-    if cfg is None:
-        cfg = SSIMConfig()
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise ValueError(f"ssim needs 2-D images, got shape {a.shape}")
-    if min(a.shape) < cfg.window:
+    if min(a.shape) < SSIM_WINDOW:
         raise ValueError(
-            f"image dims {a.shape} smaller than the {cfg.window}x{cfg.window} window"
+            f"image dims {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    g = _gaussian_window(cfg.window)
+    g = _gaussian_window(SSIM_WINDOW)
     mu_a = _smooth(a, g)
     mu_b = _smooth(b, g)
     var_a = _smooth(a * a, g) - mu_a**2
     var_b = _smooth(b * b, g) - mu_b**2
     cov = _smooth(a * b, g) - mu_a * mu_b
 
-    c1 = (cfg.k1 * cfg.dynamic_range) ** 2
-    c2 = (cfg.k2 * cfg.dynamic_range) ** 2
+    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

@@ -12,11 +12,12 @@ bilinear relation as an ADMM constraint, which makes every subproblem either
 a TV-L2 proximal step or a pointwise closed form:
 
 * ``bca_solve`` splits only the bilinear constraint; its image update is a
-  TV-L2 problem solved by the warm-started dual projection of
-  :mod:`mpgdenoise.chambolle`.  The solve is inexact on purpose: the dual
-  only has to track a target that moves a little per outer iteration, so
+  TV-L2 problem solved by the warm-started dual projection
+  :func:`mpgdenoise.chambolle.tv_l2_denoise`, which updates the solve's dual
+  field in place.  The solve is inexact on purpose: the dual only has to
+  track a target that moves a little per outer iteration, so
   ``BCA_INNER_ITERS = 2`` dual steps are run by default (inexact ADMM,
-  Eckstein & Bertsekas 1992).  Odd depths stall: at ``tau = 1/4`` the dual
+  Eckstein & Bertsekas 1992).  Odd depths stall: at the step 1/4 the dual
   iteration has a period-2 mode, so after an odd number of steps ``u``
   alternates between outer iterations and the relative step never falls
   to ``xi``.
@@ -55,8 +56,9 @@ writes the constraint gap ``v .* w - u`` (and for ``bcaf`` also
 ``grad u`` once for its p-step, multiplier step and diagnostics.  The
 diagnostics take the checked ``ln(w)``, and the next v-step reuses it;
 ``lambda1 * f`` is formed once per solve; the objective and the Lagrangian
-share ``||f - v||^2`` and TV(u).  The step functions take these arrays as
-optional arguments and form them themselves when called alone.
+share ``||f - v||^2`` and TV(u).  The diagnostics read all of these from
+the solve's namespace; the step functions take them as optional arguments
+and form them themselves when called alone.
 
 A known identity of the bilinear split: after every multiplier update,
 ``Lambda .* w = lambda2`` holds exactly (the w update picks the positive
@@ -84,7 +86,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .chambolle import ChambolleConfig, _tv_l2_in_place, soft_threshold, tv_l2_energy
+from .chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
 from .grid import (
     DomainError,
     as_images,
@@ -102,7 +104,8 @@ from .screened_poisson import solve_screened_poisson
 
 @dataclass
 class SolverConfig:
-    """Model weights and algorithm controls shared by all solvers.
+    """Model weights and algorithm controls shared by all solvers, with the
+    defaults of every front end (``mpg denoise``, bench solver sections).
 
     ``lambda1``/``lambda2`` weight the quadratic and Poisson fidelities;
     ``alpha`` is the ADMM penalty of the bilinear split (and the quadratic
@@ -114,8 +117,8 @@ class SolverConfig:
     ``ChambolleConfig`` default for ``tvl2``/``tvkl``).
     """
 
-    lambda1: float
-    lambda2: float
+    lambda1: float = 8.0
+    lambda2: float = 2.5
     alpha: float = 200.0
     alpha_w: float = 200.0
     alpha_p: float = 50.0
@@ -279,46 +282,37 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
     return np.stack(outs), traces
 
 
-def _bilinear_diagnostics(
-    state: SolverState, f, cfg: SolverConfig, grad_u=None, gap=None, gap_p=None, log_w=None
-):
-    """Trace columns of a bilinear-split iterate.  With ``state.p`` set the
-    Lagrangian is the flux-split one (``grad_u`` is ``gradient(state.u)``).
+def _bilinear_diagnostics(s: SimpleNamespace, cfg: SolverConfig):
+    """Trace columns of a bilinear-split iterate.
 
-    The optional arrays are the ones the iteration already formed from the
-    same iterate: ``gap = v .* w - u`` and ``gap_p = p - grad_u`` (both from
-    the multiplier step) and ``log_w = ln(w)``; each is formed here when
-    omitted.  TV(u) is taken once and shared by the objective and the
-    Lagrangian, and so are ``||v .* w - u||^2`` by the Lagrangian and the
-    constraint residual, and ``||f - v||^2`` by the objective and the
-    Lagrangian."""
-    flux = state.p is not None
+    ``s`` holds the iterate (``u``, ``v``, ``w``, ``lam_w``), the observation
+    ``f`` and the arrays the iteration already formed from that iterate:
+    ``gap = v .* w - u`` (from the multiplier step) and ``log_w = ln(w)``.
+    With ``s.p`` set the Lagrangian is the flux-split one, and ``s`` also
+    holds ``grad_u = gradient(u)`` and ``gap_p = p - grad_u``.  TV(u) is
+    taken once and shared by the objective and the Lagrangian, and so are
+    ``||v .* w - u||^2`` by the Lagrangian and the constraint residual, and
+    ``||f - v||^2`` by the objective and the Lagrangian."""
+    flux = s.p is not None
     alpha = cfg.alpha_w if flux else cfg.alpha
-    u, v, w = state.u, state.v, state.w
-    tv = float(magnitude(grad_u).sum()) if flux else total_variation(u)
-    if gap is None:
-        gap = v * w
-        gap -= u
+    u, v, w, f, gap = s.u, s.v, s.w, s.f, s.gap
+    tv = float(magnitude(s.grad_u).sum()) if flux else total_variation(u)
     gap_sq = dot(gap, gap)
-    if log_w is None:
-        log_w = ln(w)
     work = f - v
     resid_sq = dot(work, work)
-    np.multiply(log_w, v, out=work)  # becomes u - v log w - v
+    np.multiply(s.log_w, v, out=work)  # becomes u - v log w - v
     np.subtract(u, work, out=work)
     work -= v
     lagrangian = (
         0.5 * cfg.lambda1 * resid_sq
         + cfg.lambda2 * float(work.sum())
-        + (float(magnitude(state.p).sum()) if flux else tv)
-        + dot(state.lam_w, gap)
+        + (float(magnitude(s.p).sum()) if flux else tv)
+        + dot(s.lam_w, gap)
         + 0.5 * alpha * gap_sq
     )
     if flux:
-        if gap_p is None:
-            gap_p = state.p - grad_u
-        lagrangian += dot(state.lam_p, gap_p) + 0.5 * cfg.alpha_p * dot(gap_p, gap_p)
-    np.multiply(state.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
+        lagrangian += dot(s.lam_p, s.gap_p) + 0.5 * cfg.alpha_p * dot(s.gap_p, s.gap_p)
+    np.multiply(s.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
     work -= cfg.lambda2
     u_norm = math.sqrt(dot(u, u))
     return (
@@ -363,7 +357,7 @@ def bca_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     """
     target = state.v * state.w + state.lam_w / cfg.alpha - cfg.lambda2 / cfg.alpha
     chambolle = cfg.chambolle or ChambolleConfig(inner_iters=BCA_INNER_ITERS)
-    u, state.dual = _tv_l2_in_place(target, cfg.alpha, chambolle, state.dual)
+    u, state.dual = tv_l2_denoise(target, cfg.alpha, chambolle, state.dual)
     return u
 
 
@@ -474,7 +468,7 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
         s.iters = k
 
     def diagnose(s):
-        return _bilinear_diagnostics(s, s.f, cfg, gap=s.gap, log_w=s.log_w)
+        return _bilinear_diagnostics(s, cfg)
 
     return _run(cfg, truth, s, step, diagnose, solo)
 
@@ -577,7 +571,7 @@ def bcaf_solve(f, cfg: SolverConfig, truth=None):
         s.iters = k
 
     def diagnose(s):
-        return _bilinear_diagnostics(s, s.f, cfg, s.grad_u, s.gap, s.gap_p, s.log_w)
+        return _bilinear_diagnostics(s, cfg)
 
     return _run(cfg, truth, s, step, diagnose, solo)
 
@@ -600,7 +594,7 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
     s = SimpleNamespace(f=f, u=f, dual=None)
 
     def step(s, k):
-        s.u, s.dual = _tv_l2_in_place(s.f, lam, cfg.chambolle, s.dual)
+        s.u, s.dual = tv_l2_denoise(s.f, lam, cfg.chambolle, s.dual)
 
     def diagnose(s):
         val = tv_l2_energy(s.u, s.f, lam)
@@ -638,7 +632,7 @@ def tv_kl_solve(f, lam: float, cfg: SolverConfig, truth=None):
     s = SimpleNamespace(f=f, u=f.copy(), z=f.copy(), mu=np.zeros_like(f), dual=None)
 
     def step(s, k):
-        s.u, s.dual = _tv_l2_in_place(s.z + s.mu / rho, rho, cfg.chambolle, s.dual)
+        s.u, s.dual = tv_l2_denoise(s.z + s.mu / rho, rho, cfg.chambolle, s.dual)
         s.z = kl_z_update(s.u, s.mu, s.f, lam, rho)
         s.mu = s.mu + rho * (s.z - s.u)
 

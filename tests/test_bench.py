@@ -161,15 +161,7 @@ def test_solver_section_validation(tmp_path):
         lambda2 = 2.5
         bogus = 7
     """
-    missing_weights = """\
-        [experiment]
-        [noise.a]
-        eta = 4
-        [solver.s]
-        method = bca
-        max_iters = 10
-    """
-    for body in (missing_method, unknown_key, missing_weights):
+    for body in (missing_method, unknown_key):
         with pytest.raises(ValueError):
             load_experiment(write_spec(tmp_path, body))
 
@@ -444,6 +436,9 @@ def test_image_file_source(tmp_path):
 
 def test_thread_count_resolution(monkeypatch):
     assert thread_count(3) == 3            # explicit request wins
+    for bad in (0, -5):                    # a nonpositive request is an error
+        with pytest.raises(ValueError, match=f"threads must be positive, got {bad}"):
+            thread_count(bad)
     monkeypatch.setenv("MPG_THREADS", "2")
     assert thread_count() == 2
     assert thread_count(5) == 5            # still wins over the environment
@@ -454,6 +449,14 @@ def test_thread_count_resolution(monkeypatch):
         thread_count()
     monkeypatch.delenv("MPG_THREADS")
     assert thread_count() >= 1
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_run_bench_rejects_nonpositive_threads_before_any_work(tmp_path, threads):
+    spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
+    with pytest.raises(ValueError, match="threads must be positive"):
+        run_bench(spec, threads=threads)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from mpgdenoise.chambolle import (
-    ChambolleConfig,
-    _tv_l2_in_place,
-    soft_threshold,
-    tv_l2_denoise,
-    tv_l2_energy,
-)
+from mpgdenoise.chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
 from mpgdenoise.grid import DomainError, gradient, magnitude
 
 
@@ -47,13 +41,7 @@ def tv1d_dp(g, weight, lo, hi, step):
 def test_config_validation():
     with pytest.raises(ValueError):
         ChambolleConfig(inner_iters=0)
-    with pytest.raises(ValueError):
-        ChambolleConfig(tau=0.0)
-    with pytest.raises(ValueError):
-        ChambolleConfig(tau=-0.1)
-    with pytest.raises(ValueError):
-        ChambolleConfig(tau=0.26)  # above the dual-step stability bound
-    ChambolleConfig(tau=0.25)  # the bound itself is fine
+    ChambolleConfig(inner_iters=1)
 
 
 def test_weight_must_be_positive():
@@ -105,7 +93,7 @@ def test_dual_always_feasible():
     cfg = ChambolleConfig(inner_iters=1)
     dual = None
     for _ in range(60):
-        _, dual = tv_l2_denoise(g, 0.8, cfg, warm_dual=dual)
+        _, dual = tv_l2_denoise(g, 0.8, cfg, dual=dual)
         assert magnitude(dual).max() <= 1.0 + 1e-12
 
 
@@ -114,79 +102,64 @@ def test_warm_start_composes_exactly():
     rng = np.random.default_rng(9)
     g = rng.uniform(0, 1, (10, 10))
     _, d1 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10))
-    u2, d2 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10), warm_dual=d1)
+    u2, d2 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10), dual=d1)
     u20, d20 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=20))
     assert np.array_equal(u2, u20)
     assert np.array_equal(d2, d20)
 
 
-def test_warm_dual_is_not_written():
-    rng = np.random.default_rng(10)
-    g = rng.uniform(0, 1, (9, 8))
-    _, warm = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=3))
-    before = warm.tobytes()
-    _, dual = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), warm_dual=warm)
-    assert warm.tobytes() == before
-    assert dual is not warm and not np.shares_memory(dual, warm)
-
-
 def test_in_place_steps_write_the_callers_dual_with_the_same_bytes():
+    """The dual passed in is the one updated and returned, and a warm-started
+    run has the bytes of one fresh run of the same total depth."""
     rng = np.random.default_rng(12)
     g = rng.uniform(0, 1, (9, 8))
     _, warm = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=3))
-    u_copy, d_copy = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), warm_dual=warm)
-    u, dual = _tv_l2_in_place(g, 2.5, ChambolleConfig(inner_iters=4), warm)
+    u, dual = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), dual=warm)
     assert dual is warm
-    assert u.tobytes() == u_copy.tobytes() and dual.tobytes() == d_copy.tobytes()
+    u_fresh, d_fresh = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=7))
+    assert u.tobytes() == u_fresh.tobytes() and warm.tobytes() == d_fresh.tobytes()
+
+
+@pytest.mark.parametrize("dual", [
+    np.zeros((2, 9, 8), dtype=np.float32),  # would be copied to float64
+    np.zeros((2, 8, 9)),                    # another image's field
+    np.zeros((9, 8)),                       # not a field at all
+    [[[0.0] * 8] * 9] * 2,                  # right shape, but not an array
+])
+def test_dual_that_cannot_be_updated_in_place_is_rejected(dual):
+    g = np.random.default_rng(11).uniform(0, 1, (9, 8))
+    before = np.array(dual).tobytes()
+    with pytest.raises(ValueError, match="dual must be a float64 array of shape"):
+        tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=2), dual=dual)
+    assert np.array(dual).tobytes() == before
 
 
 def test_in_place_steps_allocate_no_dual_copy(transient_peak):
-    """In place, the call holds its work arrays (weight*g, z and m one image
-    each, t two) and the divergence's one-image temporary, and no copy of
-    the (2, H, W) dual; the copying default holds that copy on top."""
+    """The call holds its work arrays (weight*g, z and m one image each, t
+    two) and the divergence's one-image temporary, and no copy of the
+    (2, H, W) dual."""
     rng = np.random.default_rng(13)
     g = rng.uniform(0, 1, (256, 256))
     cfg = ChambolleConfig(inner_iters=2)
     _, warm = tv_l2_denoise(g, 2.5, cfg)
-    _, copied = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
-    _, in_place = transient_peak(_tv_l2_in_place, g, 2.5, cfg, warm)
-    assert in_place <= 6.1 * g.nbytes
-    assert copied - in_place >= 1.9 * g.nbytes
-
-
-def test_energy_monotone_per_step_at_half_tau():
-    """Primal energy is non-increasing per dual step at tau = 0.125.
-
-    At the boundary step size tau = 0.25 the primal energy is *not* a
-    per-step Lyapunov function (rare small rises show up on random data; the
-    dual objective is what the iteration actually descends), so the clean
-    per-step guarantee is asserted at half the boundary step and the
-    boundary case is covered by the weaker global checks below.
-    """
-    rng = np.random.default_rng(21)
-    cfg = ChambolleConfig(inner_iters=1, tau=0.125)
-    for weight in (0.5, 3.0, 20.0):
-        g = rng.uniform(-0.5, 1.5, (16, 16))
-        dual = None
-        prev = None
-        for _ in range(40):
-            u, dual = tv_l2_denoise(g, weight, cfg, warm_dual=dual)
-            e = tv_l2_energy(u, g, weight)
-            if prev is not None:
-                assert e <= prev + 1e-10
-            prev = e
+    (_, dual), peak = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
+    assert dual is warm
+    assert peak <= 6.1 * g.nbytes
 
 
 def test_full_tau_still_converges_to_the_minimizer():
-    """tau = 0.25 runs land on the same unique minimizer as tau = 0.125."""
+    """At the full step 1/4 the long-run energy is no worse than after one step.
+
+    At that step the primal energy is *not* a per-step Lyapunov function
+    (rare small rises show up on random data; the dual objective is what the
+    iteration actually descends), so descent is checked over the whole run;
+    the KKT test below checks the minimizer itself.
+    """
     rng = np.random.default_rng(22)
     g = rng.uniform(0, 1, (8, 8))
-    u_full, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=3000, tau=0.25))
-    u_half, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=6000, tau=0.125))
-    assert np.max(np.abs(u_full - u_half)) <= 1e-5
-    # and the long-run energy at full step is no worse than after one step
+    u_full, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=3000))
     e_long = tv_l2_energy(u_full, g, 4.0)
-    u_one, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=1, tau=0.25))
+    u_one, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=1))
     assert e_long <= tv_l2_energy(u_one, g, 4.0) + 1e-12
 
 

@@ -202,8 +202,8 @@ def test_exit_codes_for_bad_data(tmp_path, capsys):
     assert main(["denoise", "--input", str(noisy), "--solver", "bca",
                  "--spec", str(ini), "-o", out]) == 2
     bad_bench = tmp_path / "bench.ini"
-    bad_bench.write_text("[experiment]\n[noise.a]\neta = 4\n[solver.s]\nmethod = bca\n")
-    assert main(["bench", "--spec", str(bad_bench)]) == 2             # no lambdas
+    bad_bench.write_text("[experiment]\n[noise.a]\neta = 4\n[solver.s]\nmethod = bca\nlambda1 = abc\n")
+    assert main(["bench", "--spec", str(bad_bench)]) == 2             # malformed lambda
     no_eta = tmp_path / "no_eta.ini"
     no_eta.write_text("[experiment]\n[noise.a]\nsigma = 1\n"
                       "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
@@ -346,6 +346,17 @@ def test_bench_rejects_bad_thread_env(tmp_path, monkeypatch):
     spec.write_text("[experiment]\n[noise.a]\neta = 4\n[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
     monkeypatch.setenv("MPG_THREADS", "plenty")
     assert main(["bench", "--spec", str(spec)]) == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_bench_rejects_nonpositive_threads(tmp_path, capsys, monkeypatch, threads):
+    spec = tmp_path / "exp.ini"
+    spec.write_text(f"[experiment]\noutput_dir = {tmp_path / 'results'}\n[noise.a]\neta = 4\n"
+                    "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
+    monkeypatch.setenv("MPG_THREADS", "1")  # an explicit count is checked, not replaced
+    assert main(["bench", "--spec", str(spec), "--threads", threads]) == 1
+    assert capsys.readouterr().err == f"mpg: threads must be positive, got {threads}\n"
+    assert not (tmp_path / "results").exists()
 
 
 def test_help_exits_zero(capsys):

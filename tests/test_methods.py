@@ -25,6 +25,9 @@ def test_config_fields_follow_the_dataclasses():
         "inner_iters": 2,
     }
     assert [config_values(cfg, m)["inner_iters"] for m in ("bcaf", "tvl2", "tvkl")] == [10, 10, 10]
+    # the model weights default like every other field, to SolverConfig's
+    assert build_config({}, "test") == SolverConfig() == SolverConfig(lambda1=8.0, lambda2=2.5)
+    assert build_config({"lambda1": "3"}, "test") == SolverConfig(lambda1=3.0, lambda2=2.5)
     cfg = build_config({"lambda1": "3", "lambda2": "1", "max_iters": "7", "inner_iters": "4"}, "test")
     assert cfg.max_iters == 7 and cfg.chambolle == ChambolleConfig(inner_iters=4)
     # an explicit depth wins for every method
@@ -34,8 +37,6 @@ def test_config_fields_follow_the_dataclasses():
 def test_build_config_errors():
     with pytest.raises(FormatError, match=r"^src: unknown solver key 'bogus'"):
         build_config({"lambda1": "3", "lambda2": "1", "bogus": "1"}, "src")
-    with pytest.raises(FormatError, match=r"^src: solver settings need lambda2$"):
-        build_config({"lambda1": "3"}, "src")
     with pytest.raises(FormatError, match=r"^src: lambda1: "):
         build_config({"lambda1": "abc", "lambda2": "1"}, "src")
     with pytest.raises(FormatError, match=r"^src: max_iters: "):

@@ -13,7 +13,8 @@ from scipy.signal import convolve2d
 
 import mpgdenoise
 from mpgdenoise.grid import DomainError, ShapeMismatchError, total_variation
-from mpgdenoise.metrics import SNR_CAP_DB, SSIMConfig, objective_H, snr, ssim
+from mpgdenoise import metrics
+from mpgdenoise.metrics import SNR_CAP_DB, objective_H, snr, ssim
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +70,6 @@ def test_snr_denominator_is_reconstruction_energy():
 # ssim
 
 
-def test_ssim_config_validation():
-    with pytest.raises(ValueError):
-        SSIMConfig(window=10)  # even
-    with pytest.raises(ValueError):
-        SSIMConfig(window=1)
-    with pytest.raises(ValueError):
-        SSIMConfig(dynamic_range=0.0)
-    SSIMConfig(window=3)
-
-
 def test_ssim_identical_is_one():
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 1, (16, 16))
@@ -108,9 +99,10 @@ def test_ssim_anticorrelated_checker():
 
 
 def test_ssim_window_larger_than_image():
-    with pytest.raises(ValueError):
-        ssim(np.zeros((8, 8)), np.zeros((8, 8)))  # default window is 11
-    ssim(np.zeros((8, 8)), np.zeros((8, 8)), SSIMConfig(window=7))
+    for shape in ((10, 10), (10, 40), (40, 10)):
+        with pytest.raises(ValueError, match="smaller than the 11x11 window"):
+            ssim(np.zeros(shape), np.zeros(shape))
+    assert ssim(np.zeros((11, 11)), np.zeros((11, 11))) == 1.0
 
 
 def test_ssim_shape_mismatch():
@@ -123,11 +115,17 @@ def test_ssim_needs_2d_images():
         ssim(np.zeros((3, 12, 12)), np.zeros((3, 12, 12)))
 
 
-def _ssim_2d_oracle(a, b, cfg):
-    """SSIM with the 2-D Gaussian window applied as one 2-D convolution."""
-    x = np.arange(cfg.window) - (cfg.window - 1) / 2.0
+def _gaussian_kernel_2d(window):
+    """The 2-D Gaussian window of standard deviation 1.5, normalized."""
+    x = np.arange(window) - (window - 1) / 2.0
     g = np.exp(-(x**2) / (2.0 * 1.5**2))
-    kern = np.outer(g, g) / np.outer(g, g).sum()
+    return np.outer(g, g) / np.outer(g, g).sum()
+
+
+def _ssim_2d_oracle(a, b):
+    """SSIM (11x11 window, K1 0.01, K2 0.03, L 1) with the 2-D Gaussian
+    window applied as one 2-D convolution."""
+    kern = _gaussian_kernel_2d(11)
 
     def smooth(z):
         return convolve2d(z, kern, mode="valid")
@@ -136,8 +134,7 @@ def _ssim_2d_oracle(a, b, cfg):
     var_a = smooth(a * a) - mu_a**2
     var_b = smooth(b * b) - mu_b**2
     cov = smooth(a * b) - mu_a * mu_b
-    c1 = (cfg.k1 * cfg.dynamic_range) ** 2
-    c2 = (cfg.k2 * cfg.dynamic_range) ** 2
+    c1, c2 = 0.01**2, 0.03**2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
@@ -146,18 +143,24 @@ def _ssim_2d_oracle(a, b, cfg):
 @pytest.mark.parametrize("window", [3, 7, 11])
 @pytest.mark.parametrize("shape", [(11, 11), (11, 40), (33, 17), (64, 64)])
 def test_ssim_matches_2d_convolution(window, shape):
-    """The separable window gives the 2-D statistic, images the window size included."""
+    """The separable smoothing equals one 2-D convolution with the Gaussian
+    window of any odd size, images the window size included; at the SSIM
+    window, 11, the whole index matches the 2-D oracle."""
     rng = np.random.default_rng(window * 1000 + shape[0] * 50 + shape[1])
-    cfg = SSIMConfig(window=window)
+    g, kern = metrics._gaussian_window(window), _gaussian_kernel_2d(window)
+    for z in (rng.uniform(0, 1, shape), rng.uniform(0, 1, (window, window))):
+        np.testing.assert_allclose(metrics._smooth(z, g), convolve2d(z, kern, mode="valid"), rtol=0, atol=1e-14)
+    if window != metrics.SSIM_WINDOW:
+        return
     for _ in range(3):
         a = rng.uniform(0, 1, shape)
         b = np.clip(a + rng.normal(0, 0.3, shape), 0, 1)
-        assert abs(ssim(a, b, cfg) - _ssim_2d_oracle(a, b, cfg)) <= 1e-12
+        assert abs(ssim(a, b) - _ssim_2d_oracle(a, b)) <= 1e-12
         c = rng.uniform(0, 1, shape)
-        assert abs(ssim(a, c, cfg) - _ssim_2d_oracle(a, c, cfg)) <= 1e-12
+        assert abs(ssim(a, c) - _ssim_2d_oracle(a, c)) <= 1e-12
     edge = (window, window)
     a, b = rng.uniform(0, 1, edge), rng.uniform(0, 1, edge)
-    assert abs(ssim(a, b, cfg) - _ssim_2d_oracle(a, b, cfg)) <= 1e-12
+    assert abs(ssim(a, b) - _ssim_2d_oracle(a, b)) <= 1e-12
 
 
 def test_import_does_not_load_scipy_signal():

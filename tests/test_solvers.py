@@ -9,6 +9,7 @@ system they claim to solve.
 
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import mpgdenoise.chambolle
 import mpgdenoise.grid
 import mpgdenoise.solvers as solvers
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
-from mpgdenoise.grid import DomainError, gradient, laplacian, magnitude
+from mpgdenoise.grid import DomainError, gradient, laplacian, ln, magnitude
 from mpgdenoise.methods import run_method
 from mpgdenoise.metrics import snr
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
@@ -570,20 +571,25 @@ def textbook_diagnostics(state, f, cfg):
 
 
 def _bca_step(state, f, cfg):
+    """One bca iteration; returns the arrays it formed for the diagnostics."""
     state.u = bca_u_step(state, f, cfg)
     state.v = bca_v_step(state, f, cfg)
     state.w = bca_w_step(state, cfg)
-    state.lam_w = bca_multiplier_step(state, cfg)
+    gap = np.empty_like(f)
+    state.lam_w = bca_multiplier_step(state, cfg, gap)
+    return {"gap": gap, "log_w": ln(state.w)}
 
 
 def _bcaf_step(state, f, cfg):
+    """One bcaf iteration; returns the arrays it formed for the diagnostics."""
     state.u = bcaf_u_step(state, f, cfg)
     grad_u = gradient(state.u)
     state.v = bcaf_v_step(state, f, cfg)
     state.w = bcaf_w_step(state, cfg)
     state.p = bcaf_p_step(state, cfg, grad_u)
-    state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u)
-    return grad_u
+    gap, gap_p = np.empty_like(f), np.empty_like(grad_u)
+    state.lam_w, state.lam_p = bcaf_multiplier_step(state, cfg, grad_u, gap, gap_p)
+    return {"grad_u": grad_u, "gap": gap, "gap_p": gap_p, "log_w": ln(state.w)}
 
 
 @pytest.mark.parametrize("init, step", [(bca_init, _bca_step), (bcaf_init, _bcaf_step)])
@@ -592,9 +598,9 @@ def test_diagnostics_match_textbook_formulas(init, step):
     cfg = SolverConfig(lambda1=8.0, lambda2=2.5)
     state = init(f)
     for k in range(1, 5):
-        grad_u = step(state, f, cfg)
+        formed = step(state, f, cfg)
         state.iters = k
-        got = solvers._bilinear_diagnostics(state, f, cfg, grad_u)
+        got = solvers._bilinear_diagnostics(SimpleNamespace(**vars(state), f=f, **formed), cfg)
         want = textbook_diagnostics(state, f, cfg)
         assert all(type(x) is float for x in got)
         names = ("objective", "lagrangian", "min_w", "identity", "constraint")
@@ -785,6 +791,25 @@ def test_log_of_w_once_per_iteration(monkeypatch, solve):
     assert len(trace) == 5
     assert len(ln_calls) == 5 + 1
     assert len(log_calls) == len(ln_calls) + 5
+
+
+@pytest.mark.parametrize("solve, weight", [(bca_solve, None), (tv_l2_solve, 8.0), (tv_kl_solve, 2.5)])
+def test_tv_dual_step_once_per_iteration_by_its_public_name(monkeypatch, solve, weight):
+    """The solvers call the TV dual step by the name the benchmark tracer
+    wraps, ``tv_l2_denoise``: one call per outer iteration."""
+    assert solvers.tv_l2_denoise is mpgdenoise.chambolle.tv_l2_denoise
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return tv_l2_denoise(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "tv_l2_denoise", counting)
+    f = np.maximum(corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3)), 0.0)
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5)
+    _, trace = solve(f, cfg) if weight is None else solve(f, weight, cfg)
+    assert len(trace) == 5
+    assert len(calls) == 5
 
 
 def test_bca_default_depth_stops_with_the_deep_solve():
