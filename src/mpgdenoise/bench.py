@@ -26,9 +26,9 @@ The cells of one noise level and solver section differ only in their seed,
 so they are solved together: their observations go to the solver as one
 stack of at most ``STACK_PIXELS`` pixels (every solver accepts a stack and
 gives each image the output and iteration count of its own solve), and
-larger images are solved one at a time.  A cell's ``seconds`` is then its
-even share of the wall time of each iteration it was in the stack, and the
-trace the row reads is the solver's final record.
+larger images as stacks of one.  A cell's ``seconds`` is then its even
+share of the wall time of each iteration it was in the stack, and the trace
+the row reads is the solver's final record, the only one a stack records.
 
 Stacks are independent and run in forked worker processes, at most one per
 usable core (``threads=``, which must be positive, else the ``MPG_THREADS``
@@ -59,7 +59,7 @@ from .fileio import FormatError, read_image
 from .methods import METHODS, build_config, run_method
 from .metrics import snr, ssim
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
-from .solvers import SolverConfig
+from .solvers import SolverConfig, _usable_cores
 
 # most pixels solved as one stack: 8 images at 64x64, and from 256x256 up
 # each image alone, so large images keep the memory of a single solve
@@ -168,8 +168,9 @@ def ssim_or_none(u, truth) -> float | None:
 def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
     """Rows of the cells of one noise level and solver for ``seeds``.
 
-    Two or more seeds are solved as one stack; if that raises, each cell is
-    solved again alone, so a failing cell gets its own status row.
+    The seeds are solved as one stack, a single seed as a stack of one; if
+    that raises, each of two or more cells is solved again alone, as a
+    stack of one, so a failing cell gets its own status row.
     """
     rows = [
         {
@@ -190,34 +191,31 @@ def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
     def observe(seed):
         return corrupt(truth, NoiseSpec(eta=nspec.eta, sigma=nspec.sigma, seed=seed))
 
-    # no truth for the solves: each row's SNR is taken once, below, and a
-    # per-iteration SNR column would go unread
-    solved = None
-    if len(seeds) > 1:
-        try:
-            u, traces = run_method(method, np.stack([observe(seed) for seed in seeds]), cfg)
-            solved = list(zip(u, traces))
-        except Exception:  # noqa: BLE001 - the cells are solved again one by one below
-            pass
+    def solve(batch):
+        """(u, final record) of the cells of the seeds ``batch``, solved as
+        one stack.  No truth: each row's SNR is taken once, below, and a
+        per-iteration SNR column would go unread."""
+        u, traces = run_method(method, np.stack([observe(seed) for seed in batch]), cfg)
+        return [(u_b, trace[-1]) for u_b, trace in zip(u, traces)]
+
+    try:
+        solved = solve(seeds)
+    except Exception as exc:  # noqa: BLE001 - the cells are solved again one by one below
+        if len(seeds) == 1:  # that was the one cell's own solve
+            rows[0]["status"] = f"error: {exc}"
+            return rows
+        solved = None
     for i, row in enumerate(rows):
         try:
-            u, trace = solved[i] if solved else run_method(method, observe(seeds[i]), cfg)
-            row["iters"] = trace[-1].iter
-            row["seconds"] = f"{trace[-1].seconds:.6f}"
+            u, final = solved[i] if solved else solve(seeds[i : i + 1])[0]
+            row["iters"] = final.iter
+            row["seconds"] = f"{final.seconds:.6f}"
             row["snr"] = f"{snr(u, truth):.6f}"
             s = ssim_or_none(u, truth)
             row["ssim"] = "" if s is None else f"{s:.6f}"
         except Exception as exc:  # noqa: BLE001 - per-row failure is part of the contract
             row["status"] = f"error: {exc}"
     return rows
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on (CPU affinity and cpusets respected)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def thread_count(requested: int | None = None) -> int:

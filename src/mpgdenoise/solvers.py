@@ -49,6 +49,22 @@ Each solve keeps its iterates and work arrays in one namespace, which has
 the attributes of a :class:`SolverState` and goes to the step functions in
 its place.
 
+A single-image ``bca``/``bcaf`` solve of at least ``HELPER_PIXELS`` pixels,
+on two or more usable cores, takes its trace one iteration behind on one
+helper thread: the columns of iteration k are computed while step k+1 runs
+and collected after it, so the trace leaves the critical path of these
+cheap iterations.  The main thread still takes ``se`` and decides the stop,
+so the iterates, the stop iteration and every trace column but ``seconds``
+are those of the serial path.  The step writes ``v .* w - u`` in place, so
+that array alternates between two buffers; the flux split's field terms
+(TV(u), ``sum |p|``, ``<lam_p, p - grad u>``, ``||p - grad u||^2``) are
+reduced to scalars on the main thread, so the helper holds none of its
+vector fields.  Smaller images (two threads issuing small numpy calls pass
+the interpreter lock back and forth), one core, a stack (which records only
+final records) and the baselines (whose ten TV dual steps per iteration
+dwarf the trace) keep the serial path.  The helper is joined before the
+solve returns or raises.
+
 Within one outer iteration of a bilinear solver each full-size quantity is
 formed once and shared with the trace diagnostics.  The multiplier step
 writes the constraint gap ``v .* w - u`` (and for ``bcaf`` also
@@ -79,8 +95,12 @@ raw bound.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -165,7 +185,8 @@ class TraceRecord:
     ``constraint_residual`` (relative ``||v .* w - u||``) apply to the
     bilinear solvers and are ``None`` for the baselines, as is ``snr`` when
     no ground truth was supplied.  ``seconds`` is wall time since the solve
-    started, I/O excluded.
+    started, I/O excluded, at which the record was complete; on the helper
+    path (see the module docstring) that is after the next iteration's step.
     """
 
     iter: int
@@ -223,96 +244,164 @@ def _keep(s: SimpleNamespace, idx: list[int]) -> None:
 
 def _columns(img: SimpleNamespace, diagnose, truth, b: int) -> tuple:
     """Trace columns objective through snr of one image's arrays ``img``,
-    input ``b`` of the solve.  (A helper, so that no view of this iteration's
-    arrays outlives the call and holds them through the next step.)"""
+    input ``b`` of the solve.  (A function of its own, so that no view of
+    this iteration's arrays outlives the call and holds them through a later
+    step.)"""
     snr_b = None
     if truth is not None:
         snr_b = snr(img.u, truth if truth.ndim == 2 else truth[b])
     return (*diagnose(img), snr_b)
 
 
-def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool):
+# single images from this many pixels up take their trace on a helper thread
+# (on 2 cores the two paths break even near 160x160; below, the threads'
+# small numpy calls pass the interpreter lock back and forth)
+HELPER_PIXELS = 2**15
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (CPU affinity and cpusets respected)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _collect(trace: list, pending, start: float) -> None:
+    """Append the record of ``pending = (k, se, future)`` once its columns
+    are done; its ``seconds`` is the time that happened."""
+    k, se, columns = pending
+    trace.append(TraceRecord(k, se, *columns.result(), seconds=time.perf_counter() - start))
+
+
+def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool, handoff=None):
     """Outer loop of every solver, over a stack of one or more images.
 
     ``s`` holds every array of the solve with the images on the leading axis,
     ``s.u`` the current stack ``(B, H, W)``; ``step(s, k)`` runs iteration
     ``k`` on it in place, replacing ``s.u``, and ``diagnose(img)`` returns
     the trace columns objective through constraint_residual from one image's
-    arrays (:func:`_image`).  ``truth`` is one image, which applies to every
-    image, or a stack of them.
+    arrays (:func:`_image`), or from ``handoff(img)`` when ``handoff`` is
+    given.  ``truth`` is one image, which applies to every image, or a stack
+    of them.
 
     Each image stops on its own relative step and leaves the stack then.  Its
     ``seconds`` is its even share of each iteration's wall time, summed.  For
     ``solo`` (a single-image input) the result is ``(u, trace)`` with a record
     per iteration; otherwise ``(u, traces)``, the stack of outputs and one
     list per image holding its final record only.
+
+    ``handoff``, which only the bilinear solvers give, runs on this thread
+    and returns what ``diagnose`` reads, holding no array that the next step
+    writes except ``s.gap``.  A solo input of at least ``HELPER_PIXELS``
+    pixels on two or more usable cores then runs ``diagnose`` (and the SNR)
+    on one helper thread, one iteration behind, under this thread's numpy
+    error state, while ``s.gap`` alternates between two buffers; each record
+    is collected after the next step, at most one is outstanding, and the
+    helper is joined before this returns or raises.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64)
+    prepare = handoff or (lambda img: img)
+    behind = handoff is not None and solo and s.u.size >= HELPER_PIXELS and _usable_cores() >= 2
+    if behind:
+        s.spare_gap = np.empty_like(s.gap)
     n = len(s.u)
     active = list(range(n))  # the input position of each image left in s
     outs = [None] * n
     traces = [[] for _ in range(n)]
     seconds = [0.0] * n
-    tick = time.perf_counter()
-    for k in range(1, cfg.max_iters + 1):
-        u_prev = s.u
-        step(s, k)
-        se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
-        done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
-        traced = range(len(active)) if solo else done
-        columns = {i: _columns(_image(s, i), diagnose, truth, active[i]) for i in traced}
-        now = time.perf_counter()
-        share = (now - tick) / len(active)
-        tick = now
-        for i, b in enumerate(active):
-            seconds[b] += share
-            if i in columns:
-                traces[b].append(TraceRecord(k, se[i], *columns[i], seconds=seconds[b]))
-        if done:
-            for i in done:
-                outs[active[i]] = s.u[i]
-            keep = [i for i in range(len(active)) if i not in done]
-            if not keep:
-                break
-            _keep(s, keep)
-            active = [active[i] for i in keep]
+    pending = None  # (k, se, future of the columns) of the helper's record
+    with ThreadPoolExecutor(max_workers=1) if behind else contextlib.nullcontext() as helper:
+        start = tick = time.perf_counter()
+        for k in range(1, cfg.max_iters + 1):
+            u_prev = s.u
+            step(s, k)
+            se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
+            done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
+            columns = {}
+            if behind:
+                if pending is not None:
+                    _collect(traces[0], pending, start)
+                run = contextvars.copy_context().run
+                pending = (k, se[0], helper.submit(run, _columns, prepare(_image(s, 0)), diagnose, truth, 0))
+                s.gap, s.spare_gap = s.spare_gap, s.gap
+            else:
+                traced = range(len(active)) if solo else done
+                columns = {i: _columns(prepare(_image(s, i)), diagnose, truth, active[i]) for i in traced}
+            now = time.perf_counter()
+            share = (now - tick) / len(active)
+            tick = now
+            for i, b in enumerate(active):
+                seconds[b] += share
+                if i in columns:
+                    traces[b].append(TraceRecord(k, se[i], *columns[i], seconds=seconds[b]))
+            if done:
+                for i in done:
+                    outs[active[i]] = s.u[i]
+                keep = [i for i in range(len(active)) if i not in done]
+                if not keep:
+                    break
+                _keep(s, keep)
+                active = [active[i] for i in keep]
+        if pending is not None:
+            _collect(traces[0], pending, start)
     if solo:
         return outs[0], traces[0]
     return np.stack(outs), traces
 
 
-def _bilinear_diagnostics(s: SimpleNamespace, cfg: SolverConfig):
-    """Trace columns of a bilinear-split iterate.
+def _bilinear_handoff(img: SimpleNamespace) -> SimpleNamespace:
+    """What :func:`_bilinear_diagnostics` reads of the iterate in ``img``.
 
-    ``s`` holds the iterate (``u``, ``v``, ``w``, ``lam_w``), the observation
-    ``f`` and the arrays the iteration already formed from that iterate:
-    ``gap = v .* w - u`` (from the multiplier step) and ``log_w = ln(w)``.
-    With ``s.p`` set the Lagrangian is the flux-split one, and ``s`` also
-    holds ``grad_u = gradient(u)`` and ``gap_p = p - grad_u``.  TV(u) is
-    taken once and shared by the objective and the Lagrangian, and so are
+    ``img`` holds the iterate (``u``, ``v``, ``w``, ``lam_w``), the
+    observation ``f`` and the arrays the iteration already formed from that
+    iterate: ``gap = v .* w - u`` (from the multiplier step) and
+    ``log_w = ln(w)``.  With ``img.p`` set (the flux split) it also holds
+    ``grad_u = gradient(u)``, ``p``, ``lam_p`` and ``gap_p = p - grad_u``;
+    their four field terms become scalars here, in ``flux``: TV(u),
+    ``sum |p|``, ``<lam_p, gap_p>`` and ``||gap_p||^2``."""
+    d = SimpleNamespace(**{k: getattr(img, k) for k in ("u", "v", "w", "lam_w", "f", "gap", "log_w")}, flux=None)
+    if img.p is not None:
+        d.flux = (
+            float(magnitude(img.grad_u).sum()),
+            float(magnitude(img.p).sum()),
+            dot(img.lam_p, img.gap_p),
+            dot(img.gap_p, img.gap_p),
+        )
+    return d
+
+
+def _bilinear_diagnostics(d: SimpleNamespace, cfg: SolverConfig):
+    """Trace columns of a bilinear-split iterate, from what
+    :func:`_bilinear_handoff` took of it.
+
+    With ``d.flux`` set the Lagrangian is the flux-split one.  TV(u) is taken
+    once and shared by the objective and the Lagrangian, and so are
     ``||v .* w - u||^2`` by the Lagrangian and the constraint residual, and
     ``||f - v||^2`` by the objective and the Lagrangian."""
-    flux = s.p is not None
-    alpha = cfg.alpha_w if flux else cfg.alpha
-    u, v, w, f, gap = s.u, s.v, s.w, s.f, s.gap
-    tv = float(magnitude(s.grad_u).sum()) if flux else total_variation(u)
+    alpha = cfg.alpha if d.flux is None else cfg.alpha_w
+    u, v, w, f, gap = d.u, d.v, d.w, d.f, d.gap
+    if d.flux is None:
+        tv = p_term = total_variation(u)
+    else:
+        tv, p_term, lam_gap_p, gap_p_sq = d.flux
     gap_sq = dot(gap, gap)
     work = f - v
     resid_sq = dot(work, work)
-    np.multiply(s.log_w, v, out=work)  # becomes u - v log w - v
+    np.multiply(d.log_w, v, out=work)  # becomes u - v log w - v
     np.subtract(u, work, out=work)
     work -= v
     lagrangian = (
         0.5 * cfg.lambda1 * resid_sq
         + cfg.lambda2 * float(work.sum())
-        + (float(magnitude(s.p).sum()) if flux else tv)
-        + dot(s.lam_w, gap)
+        + p_term
+        + dot(d.lam_w, gap)
         + 0.5 * alpha * gap_sq
     )
-    if flux:
-        lagrangian += dot(s.lam_p, s.gap_p) + 0.5 * cfg.alpha_p * dot(s.gap_p, s.gap_p)
-    np.multiply(s.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
+    if d.flux is not None:
+        lagrangian += lam_gap_p + 0.5 * cfg.alpha_p * gap_p_sq
+    np.multiply(d.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
     work -= cfg.lambda2
     u_norm = math.sqrt(dot(u, u))
     return (
@@ -416,6 +505,8 @@ def _w_update(state, cfg, alpha):
     s += root
     np.multiply(v, 2.0, out=root)
     np.divide(s, root, out=root)
+    if np.min(x) >= 0.0:  # every pixel takes the first quotient, as on real inputs
+        return root
     np.divide(2.0 * lambda2 / alpha, s, out=s)
     return np.where(x >= 0.0, root, s)
 
@@ -467,10 +558,10 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
         s.lam_w = bca_multiplier_step(s, cfg, s.gap)
         s.iters = k
 
-    def diagnose(s):
-        return _bilinear_diagnostics(s, cfg)
+    def diagnose(d):
+        return _bilinear_diagnostics(d, cfg)
 
-    return _run(cfg, truth, s, step, diagnose, solo)
+    return _run(cfg, truth, s, step, diagnose, solo, _bilinear_handoff)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +661,10 @@ def bcaf_solve(f, cfg: SolverConfig, truth=None):
         s.lam_w, s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap, s.gap_p)
         s.iters = k
 
-    def diagnose(s):
-        return _bilinear_diagnostics(s, cfg)
+    def diagnose(d):
+        return _bilinear_diagnostics(d, cfg)
 
-    return _run(cfg, truth, s, step, diagnose, solo)
+    return _run(cfg, truth, s, step, diagnose, solo, _bilinear_handoff)
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,20 @@ def test_failing_cell_recorded_not_fatal(tmp_path, monkeypatch):
     assert all(r["status"] == "ok (0/3)" and r["snr"] == "" for r in bad_aggs)
 
 
+def test_failing_single_seed_cell_is_solved_once(tmp_path, monkeypatch):
+    calls = []
+
+    def boom(f, cfg, truth=None):
+        calls.append(np.shape(f))
+        raise FloatingPointError("diverged")
+
+    monkeypatch.setattr(solvers, "bca_solve", boom)
+    body = GRID_SPEC.format(out=tmp_path / "out").replace("seeds = 0 1 2", "seeds = 4")
+    rows = read_rows(run_bench(load_experiment(write_spec(tmp_path, body)), threads=1))
+    assert calls == [(1, 16, 16)] * 2  # one stack of one per noise level
+    assert [r["status"] for r in rows if r["solver"] == "bca"] == ["error: diverged"] * 2 + ["ok (0/1)"] * 2
+
+
 def test_cell_snr_matches_library_call(tmp_path):
     spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
     rows = read_rows(run_bench(spec, threads=1))
@@ -356,7 +370,7 @@ def test_stack_that_fails_for_one_seed_gives_that_cell_an_error_row(tmp_path, mo
     calls = []
 
     def fails_for_seed_1(f, cfg, truth=None):
-        calls.append(np.ndim(f))
+        calls.append(np.shape(f)[:-2])
         if any(np.array_equal(g, bad) for g in np.reshape(f, (-1, 16, 16)) for bad in poison.values()):
             raise FloatingPointError("diverged")
         return real(f, cfg, truth=truth)
@@ -364,13 +378,36 @@ def test_stack_that_fails_for_one_seed_gives_that_cell_an_error_row(tmp_path, mo
     monkeypatch.setattr(solvers, "bca_solve", fails_for_seed_1)
     spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
     rows = read_rows(run_bench(spec, threads=1))
-    assert calls == [3, 2, 2, 2] * 2  # per noise level: the stack, then each cell
+    # per noise level: the stack, then each cell as a stack of one
+    assert calls == [(3,), (1,), (1,), (1,)] * 2
     status = {(r["eta"], r["solver"], r["seed"]): r["status"] for r in rows}
     for eta in ("2", "8"):
         assert status[(eta, "bca", "1")] == "error: diverged"
         assert status[(eta, "bca", "0")] == status[(eta, "bca", "2")] == "ok"
         assert status[(eta, "bca", "mean")] == "ok (2/3)"
         assert all(status[(eta, "tvl2", seed)] == "ok" for seed in "012")
+
+
+@pytest.mark.parametrize("stack_pixels, seeds", [(bench.STACK_PIXELS, "0 1 2"), (1, "0 1 2"), (bench.STACK_PIXELS, "4")])
+def test_one_diagnostics_call_per_cell(tmp_path, monkeypatch, stack_pixels, seeds):
+    """Every cell goes to the solver in a stack, a lone one as a stack of
+    one, so it takes the diagnostics of its final record only, not of every
+    iteration."""
+    calls = []
+    real = solvers._columns
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_columns", counting)
+    monkeypatch.setattr(bench, "STACK_PIXELS", stack_pixels)
+    body = GRID_SPEC.format(out=tmp_path / "out").replace("seeds = 0 1 2", f"seeds = {seeds}")
+    rows = read_rows(run_bench(load_experiment(write_spec(tmp_path, body)), threads=1))
+    cells = [r for r in rows if r["seed"] != "mean"]
+    assert len(cells) == 4 * len(seeds.split()) and all(r["status"] == "ok" for r in cells)
+    assert len(calls) == len(cells)
+    assert sum(int(r["iters"]) for r in cells) > 3 * len(cells)
 
 
 def test_nonfinite_noise_level_names_the_spec(tmp_path):

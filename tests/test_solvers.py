@@ -400,6 +400,25 @@ def test_w_step_bytes_match_masked_formula_property(data, lambda2, alpha):
     _w_step_bytes_match_masked(u, v, lam_w, lambda2, alpha)
 
 
+@pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
+def test_w_step_fast_path_bytes_match_masked_formula(monkeypatch, signs):
+    """Where every ``x = u - lam_w/alpha`` is nonnegative, as on real inputs,
+    the w update returns the first quotient without the select; either way
+    it gives the masked formula's bytes."""
+    rng = np.random.default_rng(8)
+    v = rng.uniform(1e-3, 2.0, (48, 40))
+    lam_w = rng.normal(0.0, 50.0, v.shape)
+    u = lam_w / 200.0 + rng.uniform(0.0, 2.0, v.shape)
+    u[0, 0] = lam_w[0, 0] / 200.0  # x = 0 exactly, or as near as rounding gets
+    if signs == "mixed":
+        u[::3] -= 3.0
+    selects = []
+    real_where = np.where
+    monkeypatch.setattr(np, "where", lambda *a: selects.append(None) or real_where(*a))
+    _w_step_bytes_match_masked(u, v, lam_w, 2.5, 200.0)
+    assert len(selects) == (signs == "mixed")
+
+
 def test_w_step_rejects_infeasible_v():
     cfg = SolverConfig(lambda1=1.0, lambda2=1.5, alpha=5.0, epsilon=1e-3)
     z = np.zeros((2, 2))
@@ -600,7 +619,8 @@ def test_diagnostics_match_textbook_formulas(init, step):
     for k in range(1, 5):
         formed = step(state, f, cfg)
         state.iters = k
-        got = solvers._bilinear_diagnostics(SimpleNamespace(**vars(state), f=f, **formed), cfg)
+        handed = solvers._bilinear_handoff(SimpleNamespace(**vars(state), f=f, **formed))
+        got = solvers._bilinear_diagnostics(handed, cfg)
         want = textbook_diagnostics(state, f, cfg)
         assert all(type(x) is float for x in got)
         names = ("objective", "lagrangian", "min_w", "identity", "constraint")
@@ -877,3 +897,21 @@ def test_default_config_bytes_are_pinned(method, iters, digest):
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
     rows = [tuple(getattr(r, c) for c in PINNED_COLUMNS) for r in trace]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == TRACE_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method, u_digest, trace_digest", [
+    ("bca", "e23838a0bdc755523b7dd27e50303da48b6b81caddd2d214d2527e6f988efeba",
+     "c2c5464dd513e7eaa8acecea4d8ee595f4bcc64018da77e527c57bc90cfab60b"),
+    ("bcaf", "e12cbed99ba4c53da798de425dd44feff5e0a4aa822fbebf4187d159d428acb0",
+     "6bf252d8bafbd9701cc70aeaa91869dff90baec82d9e54831d15eea30973f096"),
+])
+def test_large_single_image_bytes_are_pinned(method, u_digest, trace_digest):
+    """At 192x192 a single image takes its trace on a helper thread when two
+    cores are usable and on the main thread when one is; both paths keep
+    these bytes (CI runs this file under both)."""
+    truth = make_phantom("circles", 192, 192)
+    f = corrupt(truth, NoiseSpec(eta=4.0, sigma=1e-4, seed=1))
+    u, trace = run_method(method, f, SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=12), truth)
+    assert hashlib.sha256(u.tobytes()).hexdigest() == u_digest
+    rows = [tuple(getattr(r, c) for c in PINNED_COLUMNS) for r in trace]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == trace_digest
