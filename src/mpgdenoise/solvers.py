@@ -96,11 +96,10 @@ raw bound.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -185,8 +184,9 @@ class TraceRecord:
     ``constraint_residual`` (relative ``||v .* w - u||``) apply to the
     bilinear solvers and are ``None`` for the baselines, as is ``snr`` when
     no ground truth was supplied.  ``seconds`` is wall time since the solve
-    started, I/O excluded, at which the record was complete; on the helper
-    path (see the module docstring) that is after the next iteration's step.
+    started, I/O excluded, at which the record's columns were done; on the
+    helper path (see the module docstring) they are taken while the next
+    iteration's step runs.
     """
 
     iter: int
@@ -267,11 +267,28 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _timed_columns(err: dict, img: SimpleNamespace, diagnose, truth, b: int):
+    """:func:`_columns` under the numpy error state ``err``, and the time they
+    were done.  (A thread starts from the default error state on numpy 1.x,
+    not from its caller's.)"""
+    with np.errstate(**err):
+        columns = _columns(img, diagnose, truth, b)
+    return columns, time.perf_counter()
+
+
+def _at_once(fn, *args) -> Future:
+    """``fn(*args)``, run on this thread, as a finished future."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
+
+
 def _collect(trace: list, pending, start: float) -> None:
-    """Append the record of ``pending = (k, se, future)`` once its columns
-    are done; its ``seconds`` is the time that happened."""
-    k, se, columns = pending
-    trace.append(TraceRecord(k, se, *columns.result(), seconds=time.perf_counter() - start))
+    """Append the record of ``pending = (k, se, future)``, the future of
+    :func:`_timed_columns`; its ``seconds`` is when the columns were done."""
+    k, se, task = pending
+    columns, finished = task.result()
+    trace.append(TraceRecord(k, se, *columns, seconds=finished - start))
 
 
 def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool, handoff=None):
@@ -285,11 +302,12 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
     given.  ``truth`` is one image, which applies to every image, or a stack
     of them.
 
-    Each image stops on its own relative step and leaves the stack then.  Its
-    ``seconds`` is its even share of each iteration's wall time, summed.  For
+    Each image stops on its own relative step and leaves the stack then.  For
     ``solo`` (a single-image input) the result is ``(u, trace)`` with a record
-    per iteration; otherwise ``(u, traces)``, the stack of outputs and one
-    list per image holding its final record only.
+    per iteration, whose ``seconds`` is when its columns were done; otherwise
+    ``(u, traces)``, the stack of outputs and one list per image holding its
+    final record only, whose ``seconds`` is the image's even share of each
+    iteration's wall time, summed.
 
     ``handoff``, which only the bilinear solvers give, runs on this thread
     and returns what ``diagnose`` reads, holding no array that the next step
@@ -306,36 +324,36 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
     behind = handoff is not None and solo and s.u.size >= HELPER_PIXELS and _usable_cores() >= 2
     if behind:
         s.spare_gap = np.empty_like(s.gap)
+    err = dict(np.geterr(), call=np.geterrcall())
     n = len(s.u)
     active = list(range(n))  # the input position of each image left in s
     outs = [None] * n
     traces = [[] for _ in range(n)]
     seconds = [0.0] * n
-    pending = None  # (k, se, future of the columns) of the helper's record
+    pending = None  # (k, se, future of the columns) of the last solo record
     with ThreadPoolExecutor(max_workers=1) if behind else contextlib.nullcontext() as helper:
+        submit = helper.submit if behind else _at_once
         start = tick = time.perf_counter()
         for k in range(1, cfg.max_iters + 1):
             u_prev = s.u
             step(s, k)
             se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
             done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
-            columns = {}
-            if behind:
+            if solo:
                 if pending is not None:
                     _collect(traces[0], pending, start)
-                run = contextvars.copy_context().run
-                pending = (k, se[0], helper.submit(run, _columns, prepare(_image(s, 0)), diagnose, truth, 0))
-                s.gap, s.spare_gap = s.spare_gap, s.gap
+                pending = (k, se[0], submit(_timed_columns, err, prepare(_image(s, 0)), diagnose, truth, 0))
+                if behind:
+                    s.gap, s.spare_gap = s.spare_gap, s.gap
             else:
-                traced = range(len(active)) if solo else done
-                columns = {i: _columns(prepare(_image(s, i)), diagnose, truth, active[i]) for i in traced}
-            now = time.perf_counter()
-            share = (now - tick) / len(active)
-            tick = now
-            for i, b in enumerate(active):
-                seconds[b] += share
-                if i in columns:
-                    traces[b].append(TraceRecord(k, se[i], *columns[i], seconds=seconds[b]))
+                columns = {i: _columns(prepare(_image(s, i)), diagnose, truth, active[i]) for i in done}
+                now = time.perf_counter()
+                share = (now - tick) / len(active)
+                tick = now
+                for i, b in enumerate(active):
+                    seconds[b] += share
+                    if i in columns:
+                        traces[b].append(TraceRecord(k, se[i], *columns[i], seconds=seconds[b]))
             if done:
                 for i in done:
                     outs[active[i]] = s.u[i]
@@ -505,8 +523,6 @@ def _w_update(state, cfg, alpha):
     s += root
     np.multiply(v, 2.0, out=root)
     np.divide(s, root, out=root)
-    if np.min(x) >= 0.0:  # every pixel takes the first quotient, as on real inputs
-        return root
     np.divide(2.0 * lambda2 / alpha, s, out=s)
     return np.where(x >= 0.0, root, s)
 

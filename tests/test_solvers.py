@@ -400,25 +400,6 @@ def test_w_step_bytes_match_masked_formula_property(data, lambda2, alpha):
     _w_step_bytes_match_masked(u, v, lam_w, lambda2, alpha)
 
 
-@pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
-def test_w_step_fast_path_bytes_match_masked_formula(monkeypatch, signs):
-    """Where every ``x = u - lam_w/alpha`` is nonnegative, as on real inputs,
-    the w update returns the first quotient without the select; either way
-    it gives the masked formula's bytes."""
-    rng = np.random.default_rng(8)
-    v = rng.uniform(1e-3, 2.0, (48, 40))
-    lam_w = rng.normal(0.0, 50.0, v.shape)
-    u = lam_w / 200.0 + rng.uniform(0.0, 2.0, v.shape)
-    u[0, 0] = lam_w[0, 0] / 200.0  # x = 0 exactly, or as near as rounding gets
-    if signs == "mixed":
-        u[::3] -= 3.0
-    selects = []
-    real_where = np.where
-    monkeypatch.setattr(np, "where", lambda *a: selects.append(None) or real_where(*a))
-    _w_step_bytes_match_masked(u, v, lam_w, 2.5, 200.0)
-    assert len(selects) == (signs == "mixed")
-
-
 def test_w_step_rejects_infeasible_v():
     cfg = SolverConfig(lambda1=1.0, lambda2=1.5, alpha=5.0, epsilon=1e-3)
     z = np.zeros((2, 2))
