@@ -24,7 +24,6 @@ from .solvers import (
     SolverConfig,
     SolverState,
     TraceRecord,
-    alpha_condition,
     alpha_lower_bound,
     bca_solve,
     bcaf_solve,
@@ -42,7 +41,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "TraceRecord",
-    "alpha_condition",
     "alpha_lower_bound",
     "bca_solve",
     "bcaf_solve",

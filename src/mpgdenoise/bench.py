@@ -57,7 +57,7 @@ import numpy as np
 
 from .fileio import FormatError, read_image
 from .methods import METHODS, build_config, run_method
-from .metrics import snr, ssim
+from .metrics import snr_or_none, ssim
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
 from .solvers import SolverConfig, _usable_cores
 
@@ -210,9 +210,8 @@ def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
             u, final = solved[i] if solved else solve(seeds[i : i + 1])[0]
             row["iters"] = final.iter
             row["seconds"] = f"{final.seconds:.6f}"
-            row["snr"] = f"{snr(u, truth):.6f}"
-            s = ssim_or_none(u, truth)
-            row["ssim"] = "" if s is None else f"{s:.6f}"
+            for col, value in (("snr", snr_or_none(u, truth)), ("ssim", ssim_or_none(u, truth))):
+                row[col] = "" if value is None else f"{value:.6f}"
         except Exception as exc:  # noqa: BLE001 - per-row failure is part of the contract
             row["status"] = f"error: {exc}"
     return rows

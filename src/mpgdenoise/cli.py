@@ -35,9 +35,8 @@ from .bench import load_experiment, read_ini, run_bench, ssim_or_none
 from .fileio import FormatError, read_image, write_image, write_trace
 from .grid import DomainError
 from .methods import CONFIG_FIELDS, METHODS, build_config, config_values, run_method
-from .metrics import snr
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
-from .solvers import SolverConfig, alpha_condition
+from .solvers import SolverConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,17 +157,12 @@ def cmd_denoise(args) -> int:
             (k, f"{v:g}" if isinstance(v, float) else str(v))
             for k, v in config_values(cfg, args.solver).items()
         )
-        penalty = METHODS[args.solver].penalty
-        if penalty is not None:
-            met, bound, c = alpha_condition(getattr(cfg, penalty), cfg.lambda2, cfg.epsilon, trace)
-            header["alpha_condition"] = (
-                f"{'met' if met else 'not met'} (bound {bound:.4g}, observed min w {c:.4g})"
-            )
         write_trace(args.trace, trace, header)
     last = trace[-1]
     line = f"{args.solver}: {last.iter} iterations, se={last.se:.3e}"
+    if last.snr is not None:  # None without a truth, or where u is identically zero
+        line += f", snr={last.snr:.3f} dB"
     if truth is not None:
-        line += f", snr={snr(u, truth):.3f} dB"
         s = ssim_or_none(u, truth)
         if s is not None:
             line += f", ssim={s:.4f}"

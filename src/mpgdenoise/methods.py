@@ -27,23 +27,21 @@ class Method:
     observation ``(H, W)`` or a stack ``(B, H, W)``, and :func:`run_method`
     passes either through.
     ``weight`` names the config field passed as a baseline's single fidelity
-    weight, ``clamp`` feeds the solver ``max(f, 0)`` instead of ``f``, and
-    ``penalty`` names the field that :func:`~mpgdenoise.solvers.alpha_condition`
-    checks.  ``inner_iters`` is the TV inner depth the solver runs when the
-    config sets none (``bcaf`` has no TV inner loop and keeps the
+    weight, and ``clamp`` feeds the solver ``max(f, 0)`` instead of ``f``.
+    ``inner_iters`` is the TV inner depth the solver runs when the config
+    sets none (``bcaf`` has no TV inner loop and keeps the
     ``ChambolleConfig`` default for the echo).
     """
 
     solve: str
     weight: str | None = None
     clamp: bool = False
-    penalty: str | None = None
     inner_iters: int = ChambolleConfig.inner_iters
 
 
 METHODS = {
-    "bca": Method("bca_solve", penalty="alpha", inner_iters=solvers.BCA_INNER_ITERS),
-    "bcaf": Method("bcaf_solve", penalty="alpha_w"),
+    "bca": Method("bca_solve", inner_iters=solvers.BCA_INNER_ITERS),
+    "bcaf": Method("bcaf_solve"),
     # the baselines take one fidelity weight: the quadratic one for tvl2, the
     # Poisson one for tvkl, whose fidelity needs a nonnegative observation
     # (the Gaussian part of the noise can dip below zero)

@@ -45,6 +45,14 @@ def snr(u, truth) -> float:
     return min(-10.0 * math.log10(err / energy), SNR_CAP_DB)
 
 
+def snr_or_none(u, truth) -> float | None:
+    """:func:`snr`, or ``None`` where ``u`` is identically zero and it is undefined."""
+    try:
+        return snr(u, truth)
+    except DomainError:
+        return None
+
+
 def _gaussian_window(size: int) -> np.ndarray:
     """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     half = (size - 1) / 2.0

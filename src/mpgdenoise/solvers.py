@@ -36,7 +36,9 @@ Each solver supplies only its outer iteration (calling the step functions
 below) and its diagnostics to one driver, ``_run``, which owns the loop, the
 clock, the :class:`TraceRecord` lists and the one stop rule: the relative
 step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or ``max_iters`` outer
-iterations are done.
+iterations are done.  ``bca`` and ``bcaf`` share their set-up and
+diagnostics, ``_bilinear_solve``, and differ only in their initial state
+and their step.
 
 Every solver also takes a stack ``(B, H, W)`` of same-shape observations and
 runs them as one solve: each subproblem is pointwise, a finite-difference
@@ -87,10 +89,9 @@ penalty: with ``c`` a positive lower bound for the entries of ``w`` along
 the iterations, the penalty should exceed
 ``max(sqrt(2) * lambda2 / (c^2 * epsilon), lambda2 * (1/c - 1)^2)``.
 That is a sufficient condition only -- useful penalties are routinely far
-below it -- so the solvers never enforce it.  :func:`alpha_condition`
-evaluates it after the fact from a finished trace (the CLI echoes the
-verdict into the trace header), and :func:`alpha_lower_bound` exposes the
-raw bound.
+below it -- so the solvers never enforce it.  :func:`alpha_lower_bound`
+gives the bound for a ``c``; the smallest ``min_w`` of a trace is the ``c``
+a run observed.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ from .grid import (
     magnitude,
     total_variation,
 )
-from .metrics import objective_H, snr
+from .metrics import objective_H, snr_or_none
 from .screened_poisson import solve_screened_poisson
 
 
@@ -207,17 +208,6 @@ def alpha_lower_bound(lambda2: float, c: float, epsilon: float) -> float:
     return max(np.sqrt(2.0) * lambda2 / (c * c * epsilon), lambda2 * (1.0 / c - 1.0) ** 2)
 
 
-def alpha_condition(alpha: float, lambda2: float, epsilon: float, trace) -> tuple[bool, float, float]:
-    """Check the sufficient penalty condition against a finished run.
-
-    ``c`` is taken as the smallest ``min_w`` observed along the trace.
-    Returns ``(met, bound, c)``; purely advisory.
-    """
-    c = min(r.min_w for r in trace if r.min_w is not None)
-    bound = alpha_lower_bound(lambda2, c, epsilon)
-    return alpha > bound, bound, c
-
-
 def _rel_norm(num: np.ndarray, ref: np.ndarray) -> float:
     den = math.sqrt(dot(ref, ref))
     return math.sqrt(dot(num, num)) / (den if den > 0.0 else 1.0)
@@ -242,17 +232,6 @@ def _keep(s: SimpleNamespace, idx: list[int]) -> None:
             setattr(s, k, v[idx])
 
 
-def _columns(img: SimpleNamespace, diagnose, truth, b: int) -> tuple:
-    """Trace columns objective through snr of one image's arrays ``img``,
-    input ``b`` of the solve.  (A function of its own, so that no view of
-    this iteration's arrays outlives the call and holds them through a later
-    step.)"""
-    snr_b = None
-    if truth is not None:
-        snr_b = snr(img.u, truth if truth.ndim == 2 else truth[b])
-    return (*diagnose(img), snr_b)
-
-
 # single images from this many pixels up take their trace on a helper thread
 # (on 2 cores the two paths break even near 160x160; below, the threads'
 # small numpy calls pass the interpreter lock back and forth)
@@ -268,11 +247,16 @@ def _usable_cores() -> int:
 
 
 def _timed_columns(err: dict, img: SimpleNamespace, diagnose, truth, b: int):
-    """:func:`_columns` under the numpy error state ``err``, and the time they
-    were done.  (A thread starts from the default error state on numpy 1.x,
-    not from its caller's.)"""
+    """Trace columns objective through snr of one image's arrays ``img``,
+    input ``b`` of the solve, taken under the numpy error state ``err``, and
+    the time they were done.  The SNR is ``None`` without a truth or where
+    ``u`` is identically zero.  (A thread starts from the default error
+    state on numpy 1.x, not from its caller's; and a function of its own, so
+    that no view of this iteration's arrays outlives the call and holds them
+    through a later step.)"""
     with np.errstate(**err):
-        columns = _columns(img, diagnose, truth, b)
+        snr_b = None if truth is None else snr_or_none(img.u, truth if truth.ndim == 2 else truth[b])
+        columns = (*diagnose(img), snr_b)
     return columns, time.perf_counter()
 
 
@@ -346,7 +330,9 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
                 if behind:
                     s.gap, s.spare_gap = s.spare_gap, s.gap
             else:
-                columns = {i: _columns(prepare(_image(s, i)), diagnose, truth, active[i]) for i in done}
+                columns = {
+                    i: _timed_columns(err, prepare(_image(s, i)), diagnose, truth, active[i])[0] for i in done
+                }
                 now = time.perf_counter()
                 share = (now - tick) / len(active)
                 tick = now
@@ -428,6 +414,22 @@ def _bilinear_diagnostics(d: SimpleNamespace, cfg: SolverConfig):
         float(np.min(w)),
         float(np.max(np.abs(work, out=work))),
         math.sqrt(gap_sq) / (u_norm if u_norm > 0.0 else 1.0),
+    )
+
+
+def _bilinear_solve(f, cfg: SolverConfig, truth, init, step):
+    """``bca`` or ``bcaf`` on ``f``: ``init(f)`` is the starting
+    :class:`SolverState`, and ``step(s, k, cfg)`` runs outer iteration ``k``
+    in place on the solve's namespace ``s``.  Next to the state, ``s`` holds
+    ``f``, ``lambda1_f = lambda1 * f``, the gap ``v .* w - u`` that the
+    multiplier step writes, ``log_w = ln(w)``, and with a gradient split
+    (``p``) also ``grad_u`` and its gap ``gap_p = p - grad_u``."""
+    f, solo = _as_stack(f)
+    s = SimpleNamespace(**vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), log_w=None)
+    if s.p is not None:
+        s.grad_u, s.gap_p = np.empty_like(s.p), np.empty_like(s.p)
+    return _run(
+        cfg, truth, s, lambda s, k: step(s, k, cfg), lambda d: _bilinear_diagnostics(d, cfg), solo, _bilinear_handoff
     )
 
 
@@ -555,6 +557,17 @@ def bca_multiplier_step(state: SolverState, cfg: SolverConfig, gap=None) -> np.n
     return _ascent(state.lam_w, cfg.alpha, gap)
 
 
+def _bca_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
+    """Outer iteration ``k`` of ``bca`` on the namespace of
+    :func:`_bilinear_solve`, in place."""
+    s.u = bca_u_step(s, s.f, cfg)
+    s.v = bca_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
+    s.w = bca_w_step(s, cfg)
+    s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
+    s.lam_w = bca_multiplier_step(s, cfg, s.gap)
+    s.iters = k
+
+
 def bca_solve(f, cfg: SolverConfig, truth=None):
     """Run the bilinear-constraint solver on observation ``f``.
 
@@ -563,21 +576,7 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
     stack ``f`` of shape ``(B, H, W)`` returns the stacked outputs and one
     final-record trace per image (see :func:`_run`).
     """
-    f, solo = _as_stack(f)
-    s = SimpleNamespace(**vars(bca_init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), log_w=None)
-
-    def step(s, k):
-        s.u = bca_u_step(s, s.f, cfg)
-        s.v = bca_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
-        s.w = bca_w_step(s, cfg)
-        s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
-        s.lam_w = bca_multiplier_step(s, cfg, s.gap)
-        s.iters = k
-
-    def diagnose(d):
-        return _bilinear_diagnostics(d, cfg)
-
-    return _run(cfg, truth, s, step, diagnose, solo, _bilinear_handoff)
+    return _bilinear_solve(f, cfg, truth, bca_init, _bca_step)
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +584,11 @@ def bca_solve(f, cfg: SolverConfig, truth=None):
 
 
 def bcaf_init(f: np.ndarray) -> SolverState:
-    f = as_images(f)
-    return SolverState(
-        u=f.copy(),
-        v=f.copy(),
-        w=np.ones_like(f),
-        lam_w=np.zeros_like(f),
-        p=np.zeros(field_shape(f.shape)),
-        lam_p=np.zeros(field_shape(f.shape)),
-    )
+    """As :func:`bca_init`, with zero ``p`` and ``lam_p`` in place of the TV
+    dual field."""
+    state = bca_init(f)
+    state.p, state.lam_p, state.dual = state.dual, np.zeros_like(state.dual), None
+    return state
 
 
 def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
@@ -653,34 +648,23 @@ def bcaf_multiplier_step(
     return _ascent(state.lam_w, cfg.alpha_w, gap), _ascent(state.lam_p, cfg.alpha_p, gap_p)
 
 
+def _bcaf_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
+    """Outer iteration ``k`` of ``bcaf`` on the namespace of
+    :func:`_bilinear_solve`, in place."""
+    s.u = bcaf_u_step(s, s.f, cfg)
+    gradient(s.u, out=s.grad_u)
+    s.v = bcaf_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
+    s.w = bcaf_w_step(s, cfg)
+    s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
+    s.p = bcaf_p_step(s, cfg, s.grad_u)
+    s.lam_w, s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap, s.gap_p)
+    s.iters = k
+
+
 def bcaf_solve(f, cfg: SolverConfig, truth=None):
     """Run the flux-split solver on observation ``f`` (an image or a stack);
     returns ``(u, trace)`` as :func:`bca_solve` does."""
-    f, solo = _as_stack(f)
-    s = SimpleNamespace(
-        **vars(bcaf_init(f)),
-        f=f,
-        lambda1_f=cfg.lambda1 * f,
-        grad_u=np.empty(field_shape(f.shape)),
-        gap=np.empty_like(f),
-        gap_p=np.empty(field_shape(f.shape)),
-        log_w=None,
-    )
-
-    def step(s, k):
-        s.u = bcaf_u_step(s, s.f, cfg)
-        gradient(s.u, out=s.grad_u)
-        s.v = bcaf_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
-        s.w = bcaf_w_step(s, cfg)
-        s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
-        s.p = bcaf_p_step(s, cfg, s.grad_u)
-        s.lam_w, s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap, s.gap_p)
-        s.iters = k
-
-    def diagnose(d):
-        return _bilinear_diagnostics(d, cfg)
-
-    return _run(cfg, truth, s, step, diagnose, solo, _bilinear_handoff)
+    return _bilinear_solve(f, cfg, truth, bcaf_init, _bcaf_step)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +680,6 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
     per-block trace records.  ``f`` may be a stack, as in :func:`bca_solve`.
     """
     f, solo = _as_stack(f)
-    if not lam > 0.0:
-        raise DomainError("fidelity weight must be positive")
     s = SimpleNamespace(f=f, u=f, dual=None)
 
     def step(s, k):

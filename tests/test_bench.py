@@ -394,13 +394,13 @@ def test_one_diagnostics_call_per_cell(tmp_path, monkeypatch, stack_pixels, seed
     one, so it takes the diagnostics of its final record only, not of every
     iteration."""
     calls = []
-    real = solvers._columns
+    real = solvers._timed_columns
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(solvers, "_columns", counting)
+    monkeypatch.setattr(solvers, "_timed_columns", counting)
     monkeypatch.setattr(bench, "STACK_PIXELS", stack_pixels)
     body = GRID_SPEC.format(out=tmp_path / "out").replace("seeds = 0 1 2", f"seeds = {seeds}")
     rows = read_rows(run_bench(load_experiment(write_spec(tmp_path, body)), threads=1))
@@ -465,6 +465,35 @@ def test_image_file_source(tmp_path):
     rows = read_rows(run_bench(spec, threads=1))
     assert rows[0]["image"] == "scene"
     assert rows[0]["status"] == "ok"
+
+
+def test_zero_reconstruction_leaves_snr_blank(tmp_path):
+    """An all-zero scene without Gaussian noise observes zeros, which the
+    baselines return as they are: the SNR is undefined there, not an error."""
+    img = tmp_path / "dark.dat"
+    write_image(img, np.zeros((16, 16)))
+    spec = load_experiment(write_spec(tmp_path, """\
+        [experiment]
+        image = {img}
+        seeds = 0 1
+        output_dir = {out}
+
+        [noise.a]
+        eta = 4
+        sigma = 0
+
+        [solver.tvl2]
+        method = tvl2
+        max_iters = 5
+
+        [solver.tvkl]
+        method = tvkl
+        max_iters = 5
+    """.format(img=img, out=tmp_path / "out")))
+    rows = read_rows(run_bench(spec, threads=1))
+    assert [r["status"] for r in rows] == ["ok"] * 4 + ["ok (2/2)"] * 2
+    assert all(r["snr"] == "" for r in rows)
+    assert all(r["iters"] != "" and r["ssim"] != "" for r in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -66,13 +66,27 @@ def test_denoise_with_truth_and_trace(tmp_path, capsys):
     assert header["solver"] == "bca"
     assert header["lambda1"] == "8" and header["alpha"] == "200"
     assert header["inner_iters"] == "2"  # bca's own depth; the baselines keep 10
-    assert "alpha_condition" in header
-    assert "bound" in header["alpha_condition"]
     assert all(r.snr is not None for r in records)
     last = records[-1]
     assert last.se <= 5e-4 or last.iter == 1000
     line = capsys.readouterr().out
     assert line.startswith("bca:") and "snr=" in line and "ssim=" in line
+
+
+@pytest.mark.parametrize("solver", ["tvl2", "tvkl"])
+def test_denoise_zero_reconstruction_leaves_snr_blank(tmp_path, capsys, solver):
+    """A solve that converges to an identically zero u has no SNR, and is no
+    failure: the summary and the trace leave the SNR out."""
+    zeros = tmp_path / "zeros.dat"
+    write_image(zeros, np.zeros((16, 16)))
+    trace_path = tmp_path / "trace.csv"
+    assert main(["denoise", "--input", str(zeros), "--solver", solver, "--truth", str(zeros),
+                 "-o", str(tmp_path / "out.dat"), "--trace", str(trace_path)]) == 0
+    assert not np.any(read_image(tmp_path / "out.dat"))
+    records, _ = read_trace(trace_path)
+    assert records and all(r.snr is None for r in records)
+    line = capsys.readouterr().out
+    assert line.startswith(f"{solver}:") and "snr=" not in line and "ssim=" in line
 
 
 def test_denoise_without_truth_leaves_snr_blank(tmp_path, capsys):
@@ -121,7 +135,7 @@ def test_trace_header_key_order(tmp_path):
     _, header = read_trace(trace_path)
     assert list(header) == [
         "command", "solver", "input", "lambda1", "lambda2", "alpha", "alpha_w",
-        "alpha_p", "epsilon", "xi", "max_iters", "inner_iters", "alpha_condition",
+        "alpha_p", "epsilon", "xi", "max_iters", "inner_iters",
     ]
     assert [header[k] for k in ("alpha_p", "epsilon", "xi", "max_iters")] == [
         "50", "1e-06", "0.0005", "3",
@@ -138,7 +152,6 @@ def test_denoise_baselines_run(tmp_path):
                      "--max-iters", "40"]) == 0
         records, header = read_trace(trace_path)
         assert header["inner_iters"] == "10"
-        assert "alpha_condition" not in header  # bilinear-split diagnostic only
         assert records[0].min_w is None
 
 

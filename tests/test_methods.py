@@ -66,4 +66,3 @@ def test_run_method_looks_up_the_solver_per_call(monkeypatch):
         assert rest == ([cfg] if weight is None else [getattr(cfg, weight), cfg])
     assert METHODS["tvkl"].clamp and not METHODS["tvl2"].clamp
     assert (METHODS["tvl2"].weight, METHODS["tvkl"].weight) == ("lambda1", "lambda2")
-    assert (METHODS["bca"].penalty, METHODS["bcaf"].penalty) == ("alpha", "alpha_w")

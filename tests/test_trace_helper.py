@@ -35,13 +35,13 @@ def cores(monkeypatch):
 def threads_of_columns(monkeypatch):
     """Record, per diagnostics call, whether it ran on the main thread."""
     on_main = []
-    real = solvers._columns
+    real = solvers._timed_columns
 
     def spy(*args):
         on_main.append(threading.current_thread() is threading.main_thread())
         return real(*args)
 
-    monkeypatch.setattr(solvers, "_columns", spy)
+    monkeypatch.setattr(solvers, "_timed_columns", spy)
     return on_main
 
 
