@@ -31,11 +31,11 @@ share of the wall time of each iteration it was in the stack, and the trace
 the row reads is the solver's final record, the only one a stack records.
 
 Stacks are independent and run in forked worker processes, at most one per
-usable core (``threads=``, which must be positive, else the ``MPG_THREADS``
-environment variable, else all usable cores; 1 forces serial execution, as
-does a platform without the ``fork`` start method).  Processes, not
-threads: a solve is thousands of small numpy calls, and worker threads would
-spend their time passing the interpreter lock back and forth.  Rows are
+usable core (``threads=``, which must be positive, else all usable cores; 1
+forces serial execution, as does a platform without the ``fork`` start
+method).  Processes, not threads: a solve is thousands of small numpy calls,
+and worker threads would spend their time passing the interpreter lock back
+and forth.  Rows are
 gathered and written by the caller in a fixed order, so identical inputs
 give identical CSVs aside from the timing column.  A failing cell is
 recorded in its row's status column and does not stop the harness: when a
@@ -48,7 +48,6 @@ from __future__ import annotations
 import configparser
 import csv
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +56,7 @@ import numpy as np
 
 from .fileio import FormatError, read_image
 from .methods import METHODS, build_config, run_method
-from .metrics import snr_or_none, ssim
+from .metrics import snr_or_none, ssim_or_none
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
 from .solvers import SolverConfig, _usable_cores
 
@@ -156,15 +155,6 @@ def _load_truth(spec: ExperimentSpec):
     return read_image(spec.image_source)
 
 
-def ssim_or_none(u, truth) -> float | None:
-    """SSIM of ``u`` against ``truth``, or None when the image is smaller than
-    the SSIM window."""
-    try:
-        return ssim(u, truth)
-    except ValueError:
-        return None
-
-
 def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
     """Rows of the cells of one noise level and solver for ``seeds``.
 
@@ -217,31 +207,14 @@ def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
     return rows
 
 
-def thread_count(requested: int | None = None) -> int:
-    """Worker processes asked for: ``requested``, else ``MPG_THREADS``, else
-    all usable cores.  A nonpositive ``requested`` raises ``ValueError``; a
-    nonpositive ``MPG_THREADS`` falls through to all usable cores."""
-    if requested is not None:
-        if requested < 1:
-            raise ValueError(f"threads must be positive, got {requested}")
-        return requested
-    env = os.environ.get("MPG_THREADS", "")
-    if env.strip():
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ValueError(f"MPG_THREADS must be an integer, got {env!r}") from exc
-        if n > 0:
-            return n
-    return _usable_cores()
-
-
 def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
     """Run the whole experiment grid; returns the results CSV path.
 
-    ``threads`` is resolved by :func:`thread_count` before any work is done.
+    ``threads`` worker processes at most, all usable cores when ``None``; a
+    nonpositive count raises ``ValueError`` before any work is done.
     """
-    threads = thread_count(threads)
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
     truth = _load_truth(spec)
     image_label = (
         spec.image_source
@@ -258,7 +231,8 @@ def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
         for (label, method, cfg) in spec.solvers
         for i in range(0, len(spec.seeds), per_stack)
     ]
-    n_workers = max(1, min(threads, len(stacks), _usable_cores()))
+    cores = _usable_cores()
+    n_workers = max(1, min(threads or cores, len(stacks), cores))
     if n_workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         batches = [_run_cells(*stack) for stack in stacks]
     else:

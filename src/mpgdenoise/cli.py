@@ -31,10 +31,11 @@ import argparse
 import os
 import sys
 
-from .bench import load_experiment, read_ini, run_bench, ssim_or_none
+from .bench import load_experiment, read_ini, run_bench
 from .fileio import FormatError, read_image, write_image, write_trace
 from .grid import DomainError
 from .methods import CONFIG_FIELDS, METHODS, build_config, config_values, run_method
+from .metrics import ssim_or_none
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
 from .solvers import SolverConfig
 
@@ -87,7 +88,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="run an experiment grid from a spec file")
     p.add_argument("--spec", required=True)
     p.add_argument("--output-dir", help="override the spec's output_dir")
-    p.add_argument("--threads", type=int, help="worker processes (default MPG_THREADS or all usable cores)")
+    p.add_argument("--threads", type=int, help="worker processes (default all usable cores)")
     return parser
 
 

@@ -53,6 +53,15 @@ def snr_or_none(u, truth) -> float | None:
         return None
 
 
+def ssim_or_none(u, truth) -> float | None:
+    """:func:`ssim`, or ``None`` where the image is smaller than the SSIM
+    window."""
+    try:
+        return ssim(u, truth)
+    except ValueError:
+        return None
+
+
 def _gaussian_window(size: int) -> np.ndarray:
     """Normalized 1-D Gaussian; the 2-D SSIM window is its outer product."""
     half = (size - 1) / 2.0

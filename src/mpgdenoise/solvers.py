@@ -51,26 +51,32 @@ Each solve keeps its iterates and work arrays in one namespace, which has
 the attributes of a :class:`SolverState` and goes to the step functions in
 its place.
 
-A single-image ``bca``/``bcaf`` solve of at least ``HELPER_PIXELS`` pixels,
-on two or more usable cores, takes its trace one iteration behind on one
-helper thread: the columns of iteration k are computed while step k+1 runs
-and collected after it, so the trace leaves the critical path of these
-cheap iterations.  The main thread still takes ``se`` and decides the stop,
-so the iterates, the stop iteration and every trace column but ``seconds``
-are those of the serial path.  The step writes ``v .* w - u`` in place, so
-that array alternates between two buffers; the flux split's field terms
-(TV(u), ``sum |p|``, ``<lam_p, p - grad u>``, ``||p - grad u||^2``) are
-reduced to scalars on the main thread, so the helper holds none of its
+Every record is taken the same way: at the end of its iteration its columns
+are submitted, and it is collected after the next step.  Its ``seconds`` is
+the wall time since the solve started, read on the calling thread at the end
+of its iteration, with each iteration's time split evenly among the images
+then in the stack.  A single-image ``bca``/``bcaf`` solve of at least
+``HELPER_PIXELS`` pixels, on two or more usable cores, submits the columns
+to one helper thread, so they are computed while the next step runs and the
+trace leaves the critical path of these cheap iterations; everywhere else
+they are computed at once, on the calling thread.  The main thread still
+takes ``se`` and decides the stop, so the iterates, the stop iteration and
+every trace column are those of the serial path.  The flux split's field
+terms (TV(u), ``sum |p|``, ``<lam_p, p - grad u>``, ``||p - grad u||^2``)
+are reduced to scalars on the main thread, so the helper holds none of its
 vector fields.  Smaller images (two threads issuing small numpy calls pass
 the interpreter lock back and forth), one core, a stack (which records only
 final records) and the baselines (whose ten TV dual steps per iteration
 dwarf the trace) keep the serial path.  The helper is joined before the
-solve returns or raises.
+solve returns or raises.  A relative step that is not finite (the iterate,
+or its norm, overflowed) raises :class:`DomainError` at once.
 
 Within one outer iteration of a bilinear solver each full-size quantity is
 formed once and shared with the trace diagnostics.  The multiplier step
 writes the constraint gap ``v .* w - u`` (and for ``bcaf`` also
-``p - grad u``) into arrays that the diagnostics read.  ``bcaf`` takes
+``p - grad u``) into arrays that the diagnostics read; ``v .* w - u``
+alternates between two buffers, so that a step never writes the one the
+previous record reads.  ``bcaf`` takes
 ``grad u`` once for its p-step, multiplier step and diagnostics.  The
 diagnostics take the checked ``ln(w)``, and the next v-step reuses it;
 ``lambda1 * f`` is formed once per solve; the objective and the Lagrangian
@@ -185,9 +191,10 @@ class TraceRecord:
     ``constraint_residual`` (relative ``||v .* w - u||``) apply to the
     bilinear solvers and are ``None`` for the baselines, as is ``snr`` when
     no ground truth was supplied.  ``seconds`` is wall time since the solve
-    started, I/O excluded, at which the record's columns were done; on the
-    helper path (see the module docstring) they are taken while the next
-    iteration's step runs.
+    started, I/O excluded, read at the end of the record's iteration, with
+    each iteration's time split evenly among the images then in the stack
+    (see the module docstring); on the helper path it is when the iterate
+    was handed to the helper.
     """
 
     iter: int
@@ -246,18 +253,16 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _timed_columns(err: dict, img: SimpleNamespace, diagnose, truth, b: int):
+def _columns(err: dict, img: SimpleNamespace, diagnose, truth, b: int):
     """Trace columns objective through snr of one image's arrays ``img``,
-    input ``b`` of the solve, taken under the numpy error state ``err``, and
-    the time they were done.  The SNR is ``None`` without a truth or where
-    ``u`` is identically zero.  (A thread starts from the default error
-    state on numpy 1.x, not from its caller's; and a function of its own, so
-    that no view of this iteration's arrays outlives the call and holds them
-    through a later step.)"""
+    input ``b`` of the solve, taken under the numpy error state ``err``.
+    The SNR is ``None`` without a truth or where ``u`` is identically zero.
+    (A thread starts from the default error state on numpy 1.x, not from its
+    caller's; and a function of its own, so that no view of this iteration's
+    arrays outlives the call and holds them through a later step.)"""
     with np.errstate(**err):
         snr_b = None if truth is None else snr_or_none(img.u, truth if truth.ndim == 2 else truth[b])
-        columns = (*diagnose(img), snr_b)
-    return columns, time.perf_counter()
+        return (*diagnose(img), snr_b)
 
 
 def _at_once(fn, *args) -> Future:
@@ -265,14 +270,6 @@ def _at_once(fn, *args) -> Future:
     done = Future()
     done.set_result(fn(*args))
     return done
-
-
-def _collect(trace: list, pending, start: float) -> None:
-    """Append the record of ``pending = (k, se, future)``, the future of
-    :func:`_timed_columns`; its ``seconds`` is when the columns were done."""
-    k, se, task = pending
-    columns, finished = task.result()
-    trace.append(TraceRecord(k, se, *columns, seconds=finished - start))
 
 
 def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool, handoff=None):
@@ -288,58 +285,54 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
 
     Each image stops on its own relative step and leaves the stack then.  For
     ``solo`` (a single-image input) the result is ``(u, trace)`` with a record
-    per iteration, whose ``seconds`` is when its columns were done; otherwise
-    ``(u, traces)``, the stack of outputs and one list per image holding its
-    final record only, whose ``seconds`` is the image's even share of each
-    iteration's wall time, summed.
+    per iteration; otherwise ``(u, traces)``, the stack of outputs and one
+    list per image holding its final record only.  Either way a record's
+    columns are submitted at the end of its iteration and collected after the
+    next step, and its ``seconds`` is the image's even share of each
+    iteration's wall time, summed up to the end of the record's iteration.
+    A relative step that is not finite raises :class:`DomainError`.
 
     ``handoff``, which only the bilinear solvers give, runs on this thread
     and returns what ``diagnose`` reads, holding no array that the next step
-    writes except ``s.gap``.  A solo input of at least ``HELPER_PIXELS``
-    pixels on two or more usable cores then runs ``diagnose`` (and the SNR)
-    on one helper thread, one iteration behind, under this thread's numpy
-    error state, while ``s.gap`` alternates between two buffers; each record
-    is collected after the next step, at most one is outstanding, and the
-    helper is joined before this returns or raises.
+    writes.  A solo input of at least ``HELPER_PIXELS`` pixels on two or more
+    usable cores then runs ``diagnose`` (and the SNR) on one helper thread,
+    one iteration behind, under this thread's numpy error state; at most one
+    record is outstanding, and the helper is joined before this returns or
+    raises.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64)
     prepare = handoff or (lambda img: img)
     behind = handoff is not None and solo and s.u.size >= HELPER_PIXELS and _usable_cores() >= 2
-    if behind:
-        s.spare_gap = np.empty_like(s.gap)
     err = dict(np.geterr(), call=np.geterrcall())
     n = len(s.u)
     active = list(range(n))  # the input position of each image left in s
     outs = [None] * n
     traces = [[] for _ in range(n)]
     seconds = [0.0] * n
-    pending = None  # (k, se, future of the columns) of the last solo record
+    pending = []  # (input position, k, se, seconds, future of the columns) of records not yet collected
     with ThreadPoolExecutor(max_workers=1) if behind else contextlib.nullcontext() as helper:
         submit = helper.submit if behind else _at_once
-        start = tick = time.perf_counter()
+        tick = time.perf_counter()
         for k in range(1, cfg.max_iters + 1):
             u_prev = s.u
             step(s, k)
             se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
+            if not all(map(math.isfinite, se)):
+                raise DomainError(f"iteration {k}: the relative step is not finite; the iterate or its norm overflowed")
+            for b, k_b, se_b, seconds_b, columns in pending:
+                traces[b].append(TraceRecord(k_b, se_b, *columns.result(), seconds=seconds_b))
             done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
-            if solo:
-                if pending is not None:
-                    _collect(traces[0], pending, start)
-                pending = (k, se[0], submit(_timed_columns, err, prepare(_image(s, 0)), diagnose, truth, 0))
-                if behind:
-                    s.gap, s.spare_gap = s.spare_gap, s.gap
-            else:
-                columns = {
-                    i: _timed_columns(err, prepare(_image(s, i)), diagnose, truth, active[i])[0] for i in done
-                }
-                now = time.perf_counter()
-                share = (now - tick) / len(active)
-                tick = now
-                for i, b in enumerate(active):
-                    seconds[b] += share
-                    if i in columns:
-                        traces[b].append(TraceRecord(k, se[i], *columns[i], seconds=seconds[b]))
+            submitted = [
+                (i, submit(_columns, err, prepare(_image(s, i)), diagnose, truth, active[i]))
+                for i in (range(len(active)) if solo else done)
+            ]
+            now = time.perf_counter()
+            share = (now - tick) / len(active)
+            tick = now
+            for b in active:
+                seconds[b] += share
+            pending = [(active[i], k, se[i], seconds[active[i]], columns) for i, columns in submitted]
             if done:
                 for i in done:
                     outs[active[i]] = s.u[i]
@@ -348,8 +341,8 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
                     break
                 _keep(s, keep)
                 active = [active[i] for i in keep]
-        if pending is not None:
-            _collect(traces[0], pending, start)
+        for b, k_b, se_b, seconds_b, columns in pending:
+            traces[b].append(TraceRecord(k_b, se_b, *columns.result(), seconds=seconds_b))
     if solo:
         return outs[0], traces[0]
     return np.stack(outs), traces
@@ -423,9 +416,14 @@ def _bilinear_solve(f, cfg: SolverConfig, truth, init, step):
     in place on the solve's namespace ``s``.  Next to the state, ``s`` holds
     ``f``, ``lambda1_f = lambda1 * f``, the gap ``v .* w - u`` that the
     multiplier step writes, ``log_w = ln(w)``, and with a gradient split
-    (``p``) also ``grad_u`` and its gap ``gap_p = p - grad_u``."""
+    (``p``) also ``grad_u`` and its gap ``gap_p = p - grad_u``.  The step
+    swaps ``gap`` with ``spare_gap`` before its multiplier step, so it never
+    writes the gap that the previous iteration's record reads (on the helper
+    path, while the step runs)."""
     f, solo = _as_stack(f)
-    s = SimpleNamespace(**vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), log_w=None)
+    s = SimpleNamespace(
+        **vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), spare_gap=np.empty_like(f), log_w=None
+    )
     if s.p is not None:
         s.grad_u, s.gap_p = np.empty_like(s.p), np.empty_like(s.p)
     return _run(
@@ -564,6 +562,7 @@ def _bca_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
     s.v = bca_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
     s.w = bca_w_step(s, cfg)
     s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
+    s.gap, s.spare_gap = s.spare_gap, s.gap
     s.lam_w = bca_multiplier_step(s, cfg, s.gap)
     s.iters = k
 
@@ -657,6 +656,7 @@ def _bcaf_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
     s.w = bcaf_w_step(s, cfg)
     s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
     s.p = bcaf_p_step(s, cfg, s.grad_u)
+    s.gap, s.spare_gap = s.spare_gap, s.gap
     s.lam_w, s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap, s.gap_p)
     s.iters = k
 

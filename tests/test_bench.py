@@ -13,7 +13,6 @@ from mpgdenoise.bench import (
     ExperimentSpec,
     load_experiment,
     run_bench,
-    thread_count,
 )
 from mpgdenoise.fileio import FormatError, write_image
 from mpgdenoise.metrics import snr
@@ -394,13 +393,13 @@ def test_one_diagnostics_call_per_cell(tmp_path, monkeypatch, stack_pixels, seed
     one, so it takes the diagnostics of its final record only, not of every
     iteration."""
     calls = []
-    real = solvers._timed_columns
+    real = solvers._columns
 
     def counting(*args):
         calls.append(None)
         return real(*args)
 
-    monkeypatch.setattr(solvers, "_timed_columns", counting)
+    monkeypatch.setattr(solvers, "_columns", counting)
     monkeypatch.setattr(bench, "STACK_PIXELS", stack_pixels)
     body = GRID_SPEC.format(out=tmp_path / "out").replace("seeds = 0 1 2", f"seeds = {seeds}")
     rows = read_rows(run_bench(load_experiment(write_spec(tmp_path, body)), threads=1))
@@ -408,6 +407,28 @@ def test_one_diagnostics_call_per_cell(tmp_path, monkeypatch, stack_pixels, seed
     assert len(cells) == 4 * len(seeds.split()) and all(r["status"] == "ok" for r in cells)
     assert len(calls) == len(cells)
     assert sum(int(r["iters"]) for r in cells) > 3 * len(cells)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns before the check raises
+def test_overflowing_cells_are_errors(tmp_path):
+    img = tmp_path / "huge.txt"
+    write_image(img, 1e160 * make_phantom("circles", 16, 16))
+    spec = load_experiment(write_spec(tmp_path, f"""\
+        [experiment]
+        image = {img}
+        seeds = 0 1
+        output_dir = {tmp_path / "out"}
+
+        [noise.a]
+        eta = 4
+
+        [solver.bcaf]
+        method = bcaf
+        max_iters = 20
+    """))
+    *cells, mean = read_rows(run_bench(spec, threads=1))
+    assert all(r["status"].startswith("error: iteration 1: the relative step is not finite") for r in cells)
+    assert len(cells) == 2 and mean["status"] == "ok (0/2)"
 
 
 def test_nonfinite_noise_level_names_the_spec(tmp_path):
@@ -500,23 +521,6 @@ def test_zero_reconstruction_leaves_snr_blank(tmp_path):
 # worker count resolution
 
 
-def test_thread_count_resolution(monkeypatch):
-    assert thread_count(3) == 3            # explicit request wins
-    for bad in (0, -5):                    # a nonpositive request is an error
-        with pytest.raises(ValueError, match=f"threads must be positive, got {bad}"):
-            thread_count(bad)
-    monkeypatch.setenv("MPG_THREADS", "2")
-    assert thread_count() == 2
-    assert thread_count(5) == 5            # still wins over the environment
-    monkeypatch.setenv("MPG_THREADS", "0")
-    assert thread_count() >= 1             # nonpositive env falls through
-    monkeypatch.setenv("MPG_THREADS", "many")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.delenv("MPG_THREADS")
-    assert thread_count() >= 1
-
-
 @pytest.mark.parametrize("threads", [0, -5])
 def test_run_bench_rejects_nonpositive_threads_before_any_work(tmp_path, threads):
     spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
@@ -594,14 +598,12 @@ def test_pool_rows_match_serial_with_sweep_and_failure(tmp_path, monkeypatch, po
     assert len(rows[2]) == 4 * 2 + 4
 
 
-def test_workers_capped_at_usable_cores(tmp_path, monkeypatch, pools):
-    monkeypatch.delenv("MPG_THREADS", raising=False)
-    assert thread_count() == 2             # all usable cores by default
-    assert thread_count(500) == 500        # an explicit request is returned as is
+def test_workers_capped_at_usable_cores(tmp_path, pools):
     spec = load_experiment(write_spec(tmp_path, GRID_SPEC.format(out=tmp_path / "out")))
-    rows = read_rows(run_bench(spec, threads=500))
-    assert pools == [2]                    # but the pool never exceeds the cores
-    assert all(r["status"].startswith("ok") for r in rows)
+    for threads in (None, 500):
+        rows = read_rows(run_bench(spec, threads=threads))
+        assert all(r["status"].startswith("ok") for r in rows)
+    assert pools == [2, 2]                 # all usable cores by default, and never more
 
 
 def test_serial_without_fork(tmp_path, monkeypatch, pools):

@@ -354,22 +354,24 @@ def test_bench_rejects_empty_seeds(tmp_path, capsys):
     assert not (tmp_path / "results").exists()
 
 
-def test_bench_rejects_bad_thread_env(tmp_path, monkeypatch):
-    spec = tmp_path / "exp.ini"
-    spec.write_text("[experiment]\n[noise.a]\neta = 4\n[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
-    monkeypatch.setenv("MPG_THREADS", "plenty")
-    assert main(["bench", "--spec", str(spec)]) == 1
-
-
 @pytest.mark.parametrize("threads", ["0", "-5"])
-def test_bench_rejects_nonpositive_threads(tmp_path, capsys, monkeypatch, threads):
+def test_bench_rejects_nonpositive_threads(tmp_path, capsys, threads):
     spec = tmp_path / "exp.ini"
     spec.write_text(f"[experiment]\noutput_dir = {tmp_path / 'results'}\n[noise.a]\neta = 4\n"
                     "[solver.s]\nmethod = tvl2\nlambda1 = 3\nlambda2 = 1\n")
-    monkeypatch.setenv("MPG_THREADS", "1")  # an explicit count is checked, not replaced
     assert main(["bench", "--spec", str(spec), "--threads", threads]) == 1
     assert capsys.readouterr().err == f"mpg: threads must be positive, got {threads}\n"
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns before the check raises
+def test_denoise_overflowing_iterate_exits_3(tmp_path, capsys):
+    write_image(tmp_path / "in.txt", 1e160 * make_phantom("circles", 16, 16))
+    out, trace = tmp_path / "out.txt", tmp_path / "trace.csv"
+    argv = ["denoise", "--input", str(tmp_path / "in.txt"), "--solver", "bcaf", "-o", str(out), "--trace", str(trace)]
+    assert main(argv) == 3
+    assert "solver failed: iteration 1: the relative step is not finite" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
 
 
 def test_help_exits_zero(capsys):

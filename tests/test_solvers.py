@@ -622,6 +622,15 @@ def test_odd_inputs_give_finite_results(shape, scale, offset, seed, method, with
             assert value is None or math.isfinite(value), (rec.iter, name, value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow warns before the check raises
+def test_overflowing_iterate_raises_at_its_iteration():
+    """A finite input whose iterate overflows stops at iteration 1 instead of
+    running on to ``max_iters`` and returning a non-finite ``u``."""
+    f = 1e160 * make_phantom("circles", 16, 16)
+    with pytest.raises(DomainError, match="^iteration 1: the relative step is not finite"):
+        run_method("bcaf", f, SolverConfig(max_iters=20))
+
+
 def test_solvers_agree_on_noisy_phantom():
     """Both splittings drive the same model; at matched penalty they nearly coincide."""
     truth = make_phantom("circles", 32, 32)

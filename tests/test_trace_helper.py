@@ -1,12 +1,14 @@
 """The trace of a large single-image bca/bcaf solve runs one iteration
 behind on a helper thread: same bytes as the serial path, the path picked by
-image size, usable cores, solo versus stack and method alone, and no thread
-left alive after a solve."""
+image size, usable cores, solo versus stack and method alone, no thread left
+alive after a solve, and one meaning of ``seconds`` on every path."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,13 +37,13 @@ def cores(monkeypatch):
 def threads_of_columns(monkeypatch):
     """Record, per diagnostics call, whether it ran on the main thread."""
     on_main = []
-    real = solvers._timed_columns
+    real = solvers._columns
 
     def spy(*args):
         on_main.append(threading.current_thread() is threading.main_thread())
         return real(*args)
 
-    monkeypatch.setattr(solvers, "_timed_columns", spy)
+    monkeypatch.setattr(solvers, "_columns", spy)
     return on_main
 
 
@@ -198,3 +200,33 @@ def test_helper_reads_nothing_the_next_step_overwrites(method, cores, monkeypatc
     monkeypatch.setattr(solvers, "_bilinear_diagnostics", late)
     _, trace = run_method(method, f, CFG, truth)
     assert [tuple(getattr(r, c) for c in COLUMNS) for r in trace] == serial
+
+
+@pytest.mark.parametrize("n_cores", [1, 2])
+@pytest.mark.parametrize("method", ["bca", "bcaf", "tvl2", "tvkl"])
+def test_seconds_has_one_meaning_on_every_path(method, n_cores, cores, monkeypatch):
+    """Under a clock whose reads return 0, 1, 2, ... a record's ``seconds``
+    is the number of iterations done: the clock is read once per iteration,
+    on the calling thread, whether the image is solved alone, with its trace
+    on the helper thread, or as a stack of one."""
+    cores(n_cores)
+    readers = []
+
+    def counting_clock():
+        ticks = itertools.count()
+
+        def perf_counter():
+            readers.append(threading.current_thread() is threading.main_thread())
+            return float(next(ticks))
+
+        return SimpleNamespace(perf_counter=perf_counter)
+
+    f, truth = observed(192)
+    f = np.maximum(f, 0.0)  # tvkl needs a nonnegative observation
+    monkeypatch.setattr(solvers, "time", counting_clock())
+    _, trace = run_method(method, f, CFG, truth)
+    monkeypatch.setattr(solvers, "time", counting_clock())
+    _, traces = run_method(method, f[None], CFG, truth)
+    assert [r.seconds for r in trace] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert traces[0][-1].seconds == trace[-1].seconds
+    assert readers and all(readers)
