@@ -20,6 +20,7 @@ into one longer run of the same iteration, exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class ChambolleConfig:
     inner_iters: int = 10
 
     def __post_init__(self):
-        if self.inner_iters < 1:
-            raise ValueError("inner_iters must be >= 1")
+        if not isinstance(self.inner_iters, numbers.Integral) or self.inner_iters < 1:
+            raise ValueError("inner_iters must be an integer >= 1")
 
 
 def tv_l2_denoise(g, weight, cfg=None, dual=None):

@@ -37,8 +37,10 @@ below) and its diagnostics to one driver, ``_run``, which owns the loop, the
 clock, the :class:`TraceRecord` lists and the one stop rule: the relative
 step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or ``max_iters`` outer
 iterations are done.  ``bca`` and ``bcaf`` share their set-up and
-diagnostics, ``_bilinear_solve``, and differ only in their initial state
-and their step.
+diagnostics, ``_bilinear_solve``, and the bilinear block that ends each of
+their steps: the v-, w- and multiplier updates on ``v .* w = u``, at
+penalty ``cfg.alpha``.  They differ only in their initial state and their
+image update; ``bcaf_solve`` runs the whole solve at ``alpha = alpha_w``.
 
 Every solver also takes a stack ``(B, H, W)`` of same-shape observations and
 runs them as one solve: each subproblem is pointwise, a finite-difference
@@ -72,8 +74,8 @@ solve returns or raises.  A relative step that is not finite (the iterate,
 or its norm, overflowed) raises :class:`DomainError` at once.
 
 Within one outer iteration of a bilinear solver each full-size quantity is
-formed once and shared with the trace diagnostics.  The multiplier step
-writes the constraint gap ``v .* w - u`` (and for ``bcaf`` also
+formed once and shared with the trace diagnostics.  The multiplier steps
+write the constraint gap ``v .* w - u`` (and for ``bcaf`` also
 ``p - grad u``) into arrays that the diagnostics read; ``v .* w - u``
 alternates between two buffers, so that a step never writes the one the
 previous record reads.  ``bcaf`` takes
@@ -104,10 +106,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -134,10 +137,13 @@ class SolverConfig:
     defaults of every front end (``mpg denoise``, bench solver sections).
 
     ``lambda1``/``lambda2`` weight the quadratic and Poisson fidelities;
-    ``alpha`` is the ADMM penalty of the bilinear split (and the quadratic
+    ``alpha`` is the penalty of each bilinear block (and the quadratic
     penalty of the TV+KL baseline), while ``alpha_w``/``alpha_p`` are the
-    two penalties of the flux-split variant.  ``epsilon`` is the positivity
-    floor on ``v``, ``xi`` the relative-step stopping tolerance.
+    two penalties of the flux-split variant, which runs its bilinear block
+    at ``alpha_w`` and reads no ``alpha``.  ``epsilon`` is the positivity
+    floor on ``v``, ``xi`` the relative-step stopping tolerance.  The seven
+    weights must be finite and positive, and ``max_iters`` a positive
+    integer.
     ``chambolle`` sets the TV dual-projection inner loop; ``None`` runs each
     method at its own depth (``BCA_INNER_ITERS`` for ``bca``, the
     ``ChambolleConfig`` default for ``tvl2``/``tvkl``).
@@ -154,11 +160,12 @@ class SolverConfig:
     chambolle: ChambolleConfig | None = None
 
     def __post_init__(self):
+        # NaN fails every comparison, so the test is written to fail on it
         for name in ("lambda1", "lambda2", "alpha", "alpha_w", "alpha_p", "epsilon", "xi"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError("max_iters must be an integer >= 1")
 
 
 @dataclass
@@ -377,7 +384,6 @@ def _bilinear_diagnostics(d: SimpleNamespace, cfg: SolverConfig):
     once and shared by the objective and the Lagrangian, and so are
     ``||v .* w - u||^2`` by the Lagrangian and the constraint residual, and
     ``||f - v||^2`` by the objective and the Lagrangian."""
-    alpha = cfg.alpha if d.flux is None else cfg.alpha_w
     u, v, w, f, gap = d.u, d.v, d.w, d.f, d.gap
     if d.flux is None:
         tv = p_term = total_variation(u)
@@ -394,7 +400,7 @@ def _bilinear_diagnostics(d: SimpleNamespace, cfg: SolverConfig):
         + cfg.lambda2 * float(work.sum())
         + p_term
         + dot(d.lam_w, gap)
-        + 0.5 * alpha * gap_sq
+        + 0.5 * cfg.alpha * gap_sq
     )
     if d.flux is not None:
         lagrangian += lam_gap_p + 0.5 * cfg.alpha_p * gap_p_sq
@@ -416,10 +422,11 @@ def _bilinear_solve(f, cfg: SolverConfig, truth, init, step):
     in place on the solve's namespace ``s``.  Next to the state, ``s`` holds
     ``f``, ``lambda1_f = lambda1 * f``, the gap ``v .* w - u`` that the
     multiplier step writes, ``log_w = ln(w)``, and with a gradient split
-    (``p``) also ``grad_u`` and its gap ``gap_p = p - grad_u``.  The step
-    swaps ``gap`` with ``spare_gap`` before its multiplier step, so it never
-    writes the gap that the previous iteration's record reads (on the helper
-    path, while the step runs)."""
+    (``p``) also ``grad_u`` and its gap ``gap_p = p - grad_u``.  The
+    bilinear block swaps ``gap`` with ``spare_gap`` before its multiplier
+    step, so a step never writes the gap that the previous iteration's
+    record reads (on the helper path, while the step runs).  ``cfg.alpha``
+    is the penalty of that block."""
     f, solo = _as_stack(f)
     s = SimpleNamespace(
         **vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), spare_gap=np.empty_like(f), log_w=None
@@ -468,7 +475,14 @@ def bca_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     return u
 
 
-def _v_update(state, f, cfg, alpha, log_w, lambda1_f):
+def bca_v_step(state: SolverState, f, cfg: SolverConfig, log_w=None, lambda1_f=None) -> np.ndarray:
+    """Pointwise Gaussian-part update; expects ``state.u`` already advanced.
+
+    Minimizer of the per-pixel strongly convex objective
+    ``(lambda1/2)(f - v)^2 - lambda2*(v log w + v) + (alpha/2)(v w + lam_w/alpha - u)^2``
+    clamped to the feasible set ``v >= epsilon``.  ``log_w`` (``ln(state.w)``)
+    and ``lambda1_f`` (``lambda1 * f``) are computed here when omitted.
+    """
     u, w = state.u, state.w
     if log_w is None:
         log_w = ln(w)  # also rejects nonpositive w, which means a broken w update
@@ -478,7 +492,7 @@ def _v_update(state, f, cfg, alpha, log_w, lambda1_f):
     # in place but in the rounding order of those expressions
     numer = np.multiply(log_w, cfg.lambda2)
     numer += lambda1_f
-    aw = np.multiply(w, alpha)
+    aw = np.multiply(w, cfg.alpha)
     den = aw * w
     aw *= u
     numer += aw
@@ -492,25 +506,20 @@ def _v_update(state, f, cfg, alpha, log_w, lambda1_f):
     return np.maximum(cfg.epsilon, numer, out=numer)
 
 
-def bca_v_step(state: SolverState, f, cfg: SolverConfig, log_w=None, lambda1_f=None) -> np.ndarray:
-    """Pointwise Gaussian-part update; expects ``state.u`` already advanced.
+def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
+    """Pointwise ratio update; expects ``state.u`` and ``state.v`` advanced.
 
-    Minimizer of the per-pixel strongly convex objective
-    ``(lambda1/2)(f - v)^2 - lambda2*(v log w + v) + (alpha/2)(v w + lam_w/alpha - u)^2``
-    clamped to the feasible set ``v >= epsilon``.  ``log_w`` (``ln(state.w)``)
-    and ``lambda1_f`` (``lambda1 * f``) are computed here when omitted.
+    Positive root of ``alpha v w^2 + (lam_w - alpha u) w - lambda2 = 0`` per
+    pixel (stationarity of ``-lambda2 v log w + (alpha/2)(v w + lam_w/alpha - u)^2``).
+    Always strictly positive.
     """
-    return _v_update(state, f, cfg, cfg.alpha, log_w, lambda1_f)
-
-
-def _w_update(state, cfg, alpha):
     if np.min(state.v) < cfg.epsilon:
         raise DomainError("v entries below the positivity floor; v update is broken")
     u, v, lambda2 = state.u, state.v, cfg.lambda2
-    x = state.lam_w / alpha
+    x = state.lam_w / cfg.alpha
     np.subtract(u, x, out=x)
     root = np.multiply(v, 4.0 * lambda2)
-    root /= alpha
+    root /= cfg.alpha
     s = np.square(x)
     root += s
     np.sqrt(root, out=root)
@@ -523,18 +532,8 @@ def _w_update(state, cfg, alpha):
     s += root
     np.multiply(v, 2.0, out=root)
     np.divide(s, root, out=root)
-    np.divide(2.0 * lambda2 / alpha, s, out=s)
+    np.divide(2.0 * lambda2 / cfg.alpha, s, out=s)
     return np.where(x >= 0.0, root, s)
-
-
-def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Pointwise ratio update; expects ``state.u`` and ``state.v`` advanced.
-
-    Positive root of ``alpha v w^2 + (lam_w - alpha u) w - lambda2 = 0`` per
-    pixel (stationarity of ``-lambda2 v log w + (alpha/2)(v w + lam_w/alpha - u)^2``).
-    Always strictly positive.
-    """
-    return _w_update(state, cfg, cfg.alpha)
 
 
 def _ascent(lam, alpha, gap):
@@ -555,16 +554,24 @@ def bca_multiplier_step(state: SolverState, cfg: SolverConfig, gap=None) -> np.n
     return _ascent(state.lam_w, cfg.alpha, gap)
 
 
-def _bca_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
-    """Outer iteration ``k`` of ``bca`` on the namespace of
-    :func:`_bilinear_solve`, in place."""
-    s.u = bca_u_step(s, s.f, cfg)
+def _bilinear_block(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
+    """The v-, w- and multiplier steps on the bilinear constraint, at penalty
+    ``cfg.alpha``, which end outer iteration ``k`` of both ``bca`` and
+    ``bcaf`` once ``s.u`` is advanced; in place on the namespace of
+    :func:`_bilinear_solve`."""
     s.v = bca_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
     s.w = bca_w_step(s, cfg)
     s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
     s.gap, s.spare_gap = s.spare_gap, s.gap
     s.lam_w = bca_multiplier_step(s, cfg, s.gap)
     s.iters = k
+
+
+def _bca_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
+    """Outer iteration ``k`` of ``bca`` on the namespace of
+    :func:`_bilinear_solve`, in place."""
+    s.u = bca_u_step(s, s.f, cfg)
+    _bilinear_block(s, k, cfg)
 
 
 def bca_solve(f, cfg: SolverConfig, truth=None):
@@ -609,15 +616,6 @@ def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     return solve_screened_poisson(rhs, cfg.alpha_w, cfg.alpha_p)
 
 
-def bcaf_v_step(state: SolverState, f, cfg: SolverConfig, log_w=None, lambda1_f=None) -> np.ndarray:
-    """Same pointwise update as the bilinear solver, at penalty ``alpha_w``."""
-    return _v_update(state, f, cfg, cfg.alpha_w, log_w, lambda1_f)
-
-
-def bcaf_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    return _w_update(state, cfg, cfg.alpha_w)
-
-
 def bcaf_p_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray | None = None) -> np.ndarray:
     """Vector shrinkage of the gradient split; expects ``state.u`` advanced.
 
@@ -631,40 +629,36 @@ def bcaf_p_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray | None
     return soft_threshold(q, 1.0 / cfg.alpha_p, out=q)
 
 
-def bcaf_multiplier_step(
-    state: SolverState, cfg: SolverConfig, grad_u: np.ndarray, gap=None, gap_p=None
-):
-    """Dual ascent on both constraints; expects u, v, w, p advanced.
+def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray, gap_p=None) -> np.ndarray:
+    """Dual ascent on the gradient split ``p = grad u``; expects u and p
+    advanced.  (The bilinear constraint's ascent is
+    :func:`bca_multiplier_step`.)
 
     ``grad_u`` is ``gradient(state.u)``, computed once per iteration by the
-    caller and shared with the p-step and the trace diagnostics.  ``gap`` and
-    ``gap_p``, when given, receive the constraint gaps ``v .* w - u`` and
-    ``p - grad_u``, which the trace diagnostics reuse.
+    caller and shared with the p-step and the trace diagnostics.  ``gap_p``,
+    when given, receives the constraint gap ``p - grad_u``, which the trace
+    diagnostics reuse.
     """
-    gap = np.multiply(state.v, state.w, out=gap)
-    gap -= state.u
     gap_p = np.subtract(state.p, grad_u, out=gap_p)
-    return _ascent(state.lam_w, cfg.alpha_w, gap), _ascent(state.lam_p, cfg.alpha_p, gap_p)
+    return _ascent(state.lam_p, cfg.alpha_p, gap_p)
 
 
 def _bcaf_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
     """Outer iteration ``k`` of ``bcaf`` on the namespace of
-    :func:`_bilinear_solve`, in place."""
+    :func:`_bilinear_solve`, in place: the image and gradient-split updates,
+    then ``bca``'s bilinear block, which reads neither ``p`` nor ``lam_p``."""
     s.u = bcaf_u_step(s, s.f, cfg)
     gradient(s.u, out=s.grad_u)
-    s.v = bcaf_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
-    s.w = bcaf_w_step(s, cfg)
-    s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
     s.p = bcaf_p_step(s, cfg, s.grad_u)
-    s.gap, s.spare_gap = s.spare_gap, s.gap
-    s.lam_w, s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap, s.gap_p)
-    s.iters = k
+    s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap_p)
+    _bilinear_block(s, k, cfg)
 
 
 def bcaf_solve(f, cfg: SolverConfig, truth=None):
     """Run the flux-split solver on observation ``f`` (an image or a stack);
-    returns ``(u, trace)`` as :func:`bca_solve` does."""
-    return _bilinear_solve(f, cfg, truth, bcaf_init, _bcaf_step)
+    returns ``(u, trace)`` as :func:`bca_solve` does.  The bilinear block
+    runs at ``cfg.alpha_w``, and ``cfg.alpha`` is not read."""
+    return _bilinear_solve(f, replace(cfg, alpha=cfg.alpha_w), truth, bcaf_init, _bcaf_step)
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ def tv1d_dp(g, weight, lo, hi, step):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ChambolleConfig(inner_iters=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="^inner_iters must be an integer >= 1$"):
+            ChambolleConfig(inner_iters=bad)
     ChambolleConfig(inner_iters=1)
+    ChambolleConfig(inner_iters=np.int32(2))  # numpy integers are integers
 
 
 def test_weight_must_be_positive():

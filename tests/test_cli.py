@@ -244,6 +244,23 @@ def test_nonfinite_noise_level_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == f"mpg: {spec}: sigma must be finite and nonnegative\n"
 
 
+@pytest.mark.parametrize("flag", ["xi", "epsilon", "lambda1"])
+def test_nonfinite_solver_setting_is_named(tmp_path, capsys, flag):
+    # an infinite setting fails in the solver config, not after a solve that
+    # stops at once or breaks down
+    noisy, _, _ = make_noisy(tmp_path)
+    out = tmp_path / "o.dat"
+    assert main(["denoise", "--input", str(noisy), "--solver", "bca", f"--{flag}", "inf",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"mpg: {flag} must be finite and positive\n"
+    assert not out.exists()
+    spec = tmp_path / "inf.ini"
+    spec.write_text(f"[experiment]\noutput_dir = {tmp_path / 'b'}\n[noise.a]\neta = 4\n"
+                    f"[solver.s]\nmethod = bca\n{flag} = inf\n")
+    assert main(["bench", "--spec", str(spec)]) == 2
+    assert capsys.readouterr().err == f"mpg: {spec}: {flag} must be finite and positive\n"
+
+
 def test_truth_of_another_shape_is_data_error(tmp_path, capsys):
     noisy, _, _ = make_noisy(tmp_path)
     truth = tmp_path / "truth.dat"

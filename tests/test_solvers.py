@@ -58,6 +58,11 @@ def make_state(f, v, w, lam_w, iters=1):
     )
 
 
+# alpha != alpha_w and neither at the default 200, so that a solve reading
+# the other split's penalty shows
+SPLIT_PENALTIES = SolverConfig(lambda1=8.0, lambda2=2.5, alpha=120.0, alpha_w=300.0, alpha_p=30.0)
+
+
 # ---------------------------------------------------------------------------
 # configuration and the penalty bound
 
@@ -67,13 +72,15 @@ def test_config_rejects_nonpositive_parameters():
                 alpha_p=1.0, epsilon=1e-6, xi=1e-4)
     SolverConfig(**base)  # sanity: the base set is legal
     for name in base:
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.inf, math.nan):
             kw = dict(base)
             kw[name] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
                 SolverConfig(**kw)
-    with pytest.raises(ValueError):
-        SolverConfig(lambda1=1.0, lambda2=1.0, max_iters=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 1$"):
+            SolverConfig(lambda1=1.0, lambda2=1.0, max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3  # numpy integers are integers
 
 
 def test_alpha_lower_bound_hand_values():
@@ -549,17 +556,21 @@ def textbook_diagnostics(state, f, cfg):
     )
 
 
-@pytest.mark.parametrize("init, step", [(bca_init, solvers._bca_step), (bcaf_init, solvers._bcaf_step)])
-def test_diagnostics_match_textbook_formulas(init, step):
-    """The solve's own set-up and steps, checked after every iteration."""
+@pytest.mark.parametrize("method, step", [("bca", "_bca_step"), ("bcaf", "_bcaf_step")])
+def test_diagnostics_match_textbook_formulas(method, step, monkeypatch):
+    """The solve's own set-up and steps, checked after every iteration, at
+    ``alpha != alpha_w``: the textbook takes ``alpha`` for ``bca`` and
+    ``alpha_w`` for ``bcaf`` from the caller's config, whatever config the
+    solve hands its steps."""
     f = corrupt(make_phantom("circles", 24, 20), NoiseSpec(eta=4.0, sigma=1e-2, seed=6))
-    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=4)
+    cfg = dataclasses.replace(SPLIT_PENALTIES, max_iters=4)
+    real_step = getattr(solvers, step)
     done = []
 
-    def checked(s, k, cfg):
-        step(s, k, cfg)
+    def checked(s, k, solve_cfg):
+        real_step(s, k, solve_cfg)
         img = solvers._image(s, 0)
-        got = solvers._bilinear_diagnostics(solvers._bilinear_handoff(img), cfg)
+        got = solvers._bilinear_diagnostics(solvers._bilinear_handoff(img), solve_cfg)
         want = textbook_diagnostics(img, f, cfg)
         assert all(type(x) is float for x in got)
         names = ("objective", "lagrangian", "min_w", "identity", "constraint")
@@ -567,7 +578,8 @@ def test_diagnostics_match_textbook_formulas(init, step):
             assert abs(value - expected) <= 1e-12 * abs(expected), (k, name, value, expected)
         done.append(k)
 
-    solvers._bilinear_solve(f, cfg, None, init, checked)
+    monkeypatch.setattr(solvers, step, checked)
+    run_method(method, f, cfg)
     assert done == [1, 2, 3, 4]
 
 
@@ -871,6 +883,40 @@ def test_default_config_bytes_are_pinned(method, iters, digest):
     assert hashlib.sha256(u.tobytes()).hexdigest() == digest
     rows = [tuple(getattr(r, c) for c in PINNED_COLUMNS) for r in trace]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == TRACE_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method, iters, u_digest, trace_digest", [
+    ("bca", 103, "71049155d9ccb08c735136babefa7058982b409efe23f9294612bb647720ca31",
+     "227e7b26dfdcfcf0c0314753d81b715b9e9ea72ecdb77ab1696d4da8949cbc7f"),
+    ("bcaf", 200, "a5897ff3866997b88aa0b673b655aa081382c069c4e6148c307452160b90e942",
+     "f6cdaaf971ed8bb882f9cdce34e87855061a6f305c942071b408f52737d0a741"),
+])
+def test_distinct_penalties_bytes_are_pinned(method, iters, u_digest, trace_digest):
+    f = corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    u, trace = run_method(method, f, SPLIT_PENALTIES)
+    assert len(trace) == iters
+    assert hashlib.sha256(u.tobytes()).hexdigest() == u_digest
+    rows = [tuple(getattr(r, c) for c in PINNED_COLUMNS) for r in trace]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == trace_digest
+
+
+@pytest.mark.parametrize("method, unread, read", [
+    ("bca", {"alpha_w": 77.0, "alpha_p": 13.0}, {"alpha": 90.0}),
+    ("bcaf", {"alpha": 7.0}, {"alpha_w": 150.0}),
+], ids=["bca", "bcaf"])
+def test_each_split_reads_only_its_own_penalty(method, unread, read):
+    """``bca`` runs at ``alpha`` alone, ``bcaf`` at ``alpha_w`` and
+    ``alpha_p``: the bytes and every trace column but ``seconds`` follow
+    the penalties a method reads and no other."""
+    f = corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+
+    def run(**changes):
+        u, trace = run_method(method, f, dataclasses.replace(SPLIT_PENALTIES, max_iters=30, **changes))
+        return u.tobytes(), [tuple(getattr(r, c) for c in PINNED_COLUMNS) for r in trace]
+
+    base = run()
+    assert run(**unread) == base
+    assert run(**read) != base
 
 
 @pytest.mark.parametrize("method, u_digest, trace_digest", [

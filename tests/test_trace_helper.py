@@ -117,7 +117,8 @@ def test_exception_in_the_diagnostics_reaches_the_caller(method, fail_at, cores,
     assert not any(calls)
 
 
-@pytest.mark.parametrize("method, step", [("bca", "bca_w_step"), ("bcaf", "bcaf_w_step")])
+# bcaf runs bca's bilinear block, so both reach the w-step by bca's name
+@pytest.mark.parametrize("method, step", [("bca", "bca_w_step"), ("bcaf", "bca_w_step")])
 def test_exception_in_a_step_joins_the_helper(method, step, cores, monkeypatch):
     cores(2)
     real = getattr(solvers, step)
@@ -170,16 +171,16 @@ def test_helper_stops_at_the_serial_iteration(method, cores):
 
 @pytest.mark.parametrize("method", ["bca", "bcaf"])
 def test_helper_reads_nothing_the_next_step_overwrites(method, cores, monkeypatch):
-    """Each record's diagnostics wait until the next iteration's multiplier
-    step, the step's last write, is done: an array that step wrote in place
-    would change the record's bytes."""
+    """Each record's diagnostics wait until the next iteration's bilinear
+    multiplier step, the last write of both methods' steps, is done: an
+    array that step wrote in place would change the record's bytes."""
     f, truth = observed(192)
     cores(1)
     serial = [tuple(getattr(r, c) for c in COLUMNS) for r in run_method(method, f, CFG, truth)[1]]
 
     cores(2)
     steps, records = [], []
-    real_step = getattr(solvers, f"{method}_multiplier_step")
+    real_step = solvers.bca_multiplier_step
     real_diagnostics = solvers._bilinear_diagnostics
 
     def counting_step(*args):
@@ -196,7 +197,7 @@ def test_helper_reads_nothing_the_next_step_overwrites(method, cores, monkeypatc
         assert len(steps) == min(k + 1, CFG.max_iters)
         return real_diagnostics(d, cfg)
 
-    monkeypatch.setattr(solvers, f"{method}_multiplier_step", counting_step)
+    monkeypatch.setattr(solvers, "bca_multiplier_step", counting_step)
     monkeypatch.setattr(solvers, "_bilinear_diagnostics", late)
     _, trace = run_method(method, f, CFG, truth)
     assert [tuple(getattr(r, c) for c in COLUMNS) for r in trace] == serial
