@@ -16,6 +16,14 @@ most 8.  The dual field is updated in place and returned, so callers that
 solve a sequence of slowly-changing problems (the outer ADMM loops here) can
 warm-start without copying it; two consecutive warm-started calls compose
 into one longer run of the same iteration, exactly.
+
+Each step is a one-row stencil: the divergence reads the row above, the
+gradient the row below.  So a large image is worked in row blocks (above
+``grid.BLOCK_PIXELS``, see :func:`tv_l2_denoise`), each on a copy of its dual
+with ``inner_iters + 1`` ghost rows on either side.  A wrong value at an
+artificial cut spreads one row per step and has not reached a block's own
+rows after the steps and the final divergence, so every pixel gets the bytes
+of the unblocked run.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid
 from .grid import DomainError, divergence, field_shape, gradient, magnitude, total_variation
 
 
@@ -66,9 +75,16 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
         dual field itself, for later warm starts.
 
     A stack gives each image the bytes of its own solve.  The work arrays
-    are allocated once per call and every step runs in place on them, with
+    are allocated once per block and every step runs in place on them, with
     the operations in the order of the update formula, so the result is
     bit-identical to evaluating that formula with fresh arrays.
+
+    With ``G = inner_iters + 1`` ghost rows, a stack of ``B`` images of width
+    ``W`` is worked in blocks of ``max(4 G, BLOCK_PIXELS // (B W))`` rows, and
+    in one block (on the dual itself) whenever its height is at most that
+    plus ``2 G``.  Each block runs every step on a copy of its dual rows
+    widened by ``G`` on either side, then writes back only its own rows of
+    ``u`` and of the dual; the bytes are those of one block.
     """
     if cfg is None:
         cfg = ChambolleConfig()
@@ -86,6 +102,28 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
             f"got {getattr(dual, 'dtype', type(dual).__name__)} {np.shape(dual)}"
         )
 
+    steps, h = cfg.inner_iters, g.shape[-2]
+    ghost = steps + 1
+    rows = max(4 * ghost, grid.BLOCK_PIXELS // (g.size // h))
+    if h <= rows + 2 * ghost:
+        return _steps(g, weight, q, steps), q
+    u = np.empty(g.shape)
+    spans = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+    slabs = [(max(r0 - ghost, 0), min(r1 + ghost, h)) for r0, r1 in spans]
+    slab = q[..., slabs[0][0] : slabs[0][1], :].copy()
+    for i, ((r0, r1), (s0, s1)) in enumerate(zip(spans, slabs)):
+        _steps(g[..., s0:s1, :], weight, slab, steps, slice(r0 - s0, r1 - s0), u[..., r0:r1, :])
+        # the next block's slab holds this block's last G dual rows as they
+        # were on entry, so it is copied before they are written back
+        nxt = q[..., slabs[i + 1][0] : slabs[i + 1][1], :].copy() if i + 1 < len(spans) else None
+        q[..., r0:r1, :] = slab[..., r0 - s0 : r1 - s0, :]
+        slab = nxt
+    return u, q
+
+
+def _steps(g, weight, q, steps, own=slice(None), out=None):
+    """``steps`` dual steps on ``q`` in place; returns rows ``own`` of
+    ``g - (1/weight) div q``, in a new array or ``out``."""
     wg = weight * g
     # work arrays: z = div q - weight*g (then scratch for t_y^2), t = grad z,
     # m = 1 + TAU*|t|, seen by q through m_q
@@ -93,7 +131,7 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
     t = np.empty(q.shape)
     m = np.empty(g.shape)
     m_q = m[..., None, :, :]
-    for _ in range(cfg.inner_iters):
+    for _ in range(steps):
         divergence(q, out=z)
         z -= wg
         gradient(z, out=t)
@@ -108,7 +146,7 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
         q /= m_q
     divergence(q, out=z)
     z /= weight
-    return g - z, q
+    return np.subtract(g[..., own, :], z[..., own, :], out=out)
 
 
 def tv_l2_energy(u, g, weight) -> float:

@@ -18,11 +18,23 @@ difference at the far edge is zero.  The divergence is built to be the exact
 negative adjoint of the gradient, ``<grad u, q> = -<u, div q>`` for every
 ``u`` and ``q``, which the dual-projection TV solver relies on.  The operator
 norm of the gradient satisfies ``||grad||^2 <= 8``.
+
+Above :data:`BLOCK_PIXELS` the image-sized work of a TV dual step, of TV(u),
+of SSIM and of the divergence's y part runs in row blocks: each block spans
+``BLOCK_PIXELS // n`` rows, where ``n`` is the number of values one row of
+the operand it sweeps holds (``B * W`` for a stack of ``B`` images, ``2 * W``
+for a gradient field or an image pair), plus the halo rows its stencil reads.
+Every pixel gets the same operations as without blocks, so the bytes do not
+change; only the temporaries shrink to block size.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+#: the one block-size rule: work above this many values runs in row blocks
+BLOCK_PIXELS = 2**17
 
 
 class ShapeMismatchError(ValueError):
@@ -89,7 +101,8 @@ def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     entry of ``q`` never contributes, mirroring the zero the gradient puts
     there.  The x part is written into a new image array, or into ``out``
     when given (which must not overlap ``q``), and the y part is added to it
-    in place; returns that array.
+    in place, in row chunks of at most ``BLOCK_PIXELS`` values; returns that
+    array.
     """
     qx, qy = q[..., 0, :, :], q[..., 1, :, :]
     h, w = qx.shape[-2:]
@@ -104,7 +117,10 @@ def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         d[...] = 0.0
     if h > 1:
         d[..., 0, :] += qy[..., 0, :]
-        d[..., 1 : h - 1, :] += qy[..., 1 : h - 1, :] - qy[..., 0 : h - 2, :]
+        step = max(1, BLOCK_PIXELS // (d.size // h))
+        for r0 in range(1, h - 1, step):
+            r1 = min(r0 + step, h - 1)
+            d[..., r0:r1, :] += qy[..., r0:r1, :] - qy[..., r0 - 1 : r1 - 1, :]
         d[..., h - 1, :] -= qy[..., h - 2, :]
     return d
 
@@ -140,8 +156,34 @@ def laplacian(u: np.ndarray) -> np.ndarray:
 
 
 def total_variation(u: np.ndarray) -> float:
-    """Isotropic total variation: sum over pixels of |grad u|."""
-    return float(magnitude(gradient(u)).sum())
+    """Isotropic total variation: sum over pixels of |grad u|.
+
+    When ``u`` spans more than ``BLOCK_PIXELS // (2 W)`` rows (its gradient
+    holds ``2 W`` values per row, ``W`` being the width times the stack
+    size), ``|grad u|`` is written into one image in row blocks of that many
+    rows, each reading one halo row below it, instead of from a whole
+    gradient field; the one sum then runs over the same contiguous values,
+    so the result has the same bits.
+    """
+    h = u.shape[-2]
+    rows = max(1, BLOCK_PIXELS // (2 * (u.size // h)))
+    if h <= rows:
+        return float(magnitude(gradient(u)).sum())
+    mag = np.empty(u.shape)
+    dy = np.empty(u.shape[:-2] + (rows, u.shape[-1]))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        m = mag[..., r0:r1, :]
+        # the steps of magnitude(gradient(u)) on these rows: x part squared,
+        # plus the y part squared (zero on the last row), then the root
+        np.subtract(u[..., r0:r1, 1:], u[..., r0:r1, :-1], out=m[..., :-1])
+        m[..., -1] = 0.0
+        np.square(m, out=m)
+        e = min(r1, h - 1)
+        d = np.subtract(u[..., r0 + 1 : e + 1, :], u[..., r0:e, :], out=dy[..., : e - r0, :])
+        m[..., : e - r0, :] += np.square(d, out=d)
+        np.sqrt(m, out=m)
+    return float(mag.sum())
 
 
 def ln(a):

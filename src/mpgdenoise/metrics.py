@@ -11,6 +11,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import grid
 from .grid import DomainError, ShapeMismatchError, dot, total_variation
 
 #: SNR values are capped here so an exact reconstruction reports a finite number.
@@ -88,6 +89,12 @@ def ssim(a, b) -> float:
     separable, so each local statistic is two 1-D passes of the normalized
     1-D Gaussian, along rows and then along columns, which equals the 2-D
     correlation up to rounding.
+
+    When the valid region spans more than ``BLOCK_PIXELS // (2 W)`` rows
+    (the pair holds ``2 W`` values per row), the per-pixel map is written
+    into one valid-region map in row blocks of that many rows, each reading
+    the 10 halo rows below it; the one mean then runs over the same
+    contiguous values, so the result has the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -99,6 +106,20 @@ def ssim(a, b) -> float:
         raise ValueError(
             f"image dims {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
+    (h, w), halo = a.shape, SSIM_WINDOW - 1
+    rows = max(1, grid.BLOCK_PIXELS // (2 * w))
+    if h - halo <= rows:
+        return float(np.mean(_ssim_map(a, b)))
+    ssim_map = np.empty((h - halo, w - halo))
+    for r0 in range(0, h - halo, rows):
+        r1 = min(r0 + rows, h - halo)
+        _ssim_map(a[r0 : r1 + halo], b[r0 : r1 + halo], out=ssim_map[r0:r1])
+    return float(np.mean(ssim_map))
+
+
+def _ssim_map(a, b, out=None):
+    """The SSIM of every full window of ``a`` and ``b``, into a new array or
+    ``out``."""
     g = _gaussian_window(SSIM_WINDOW)
     mu_a = _smooth(a, g)
     mu_b = _smooth(b, g)
@@ -110,7 +131,7 @@ def ssim(a, b) -> float:
     c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+    return np.divide(num, den, out=out)
 
 
 def objective_H(u, v, f, cfg, tv: float | None = None, resid_sq: float | None = None) -> float:

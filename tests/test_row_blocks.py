@@ -1,0 +1,178 @@
+"""Row blocks above ``grid.BLOCK_PIXELS``: the same bytes as one block, and
+temporaries of block size at 1024^2."""
+
+import contextlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from mpgdenoise import chambolle, grid
+from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
+from mpgdenoise.metrics import ssim
+
+#: small enough that the shapes below take several blocks
+SMALL_BLOCK = 64
+#: large enough that every shape below is one block
+ONE_BLOCK = 2**40
+
+
+@contextlib.contextmanager
+def block_pixels(n):
+    saved = grid.BLOCK_PIXELS
+    grid.BLOCK_PIXELS = n
+    try:
+        yield
+    finally:
+        grid.BLOCK_PIXELS = saved
+
+
+def tv_run(g, depth, warm, n):
+    """``tv_l2_denoise`` under ``BLOCK_PIXELS = n``; returns ``(u, dual,
+    blocks)``, the dual being the array passed in when ``warm`` is given."""
+    dual = None if warm is None else warm.copy()
+    steps = chambolle._steps
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return steps(*args)
+
+    with block_pixels(n), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chambolle, "_steps", counted)
+        u, out = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=depth), dual)
+    if dual is not None:
+        assert out is dual
+    return u, out, len(calls)
+
+
+def assert_tv_blocks_exact(g, depth, warm, n=SMALL_BLOCK):
+    u1, d1, one = tv_run(g, depth, warm, ONE_BLOCK)
+    u, d, blocks = tv_run(g, depth, warm, n)
+    assert one == 1
+    assert u.tobytes() == u1.tobytes() and d.tobytes() == d1.tobytes()
+    return blocks
+
+
+def one_block_height(width, depth, stack=1):
+    """The largest height ``tv_l2_denoise`` runs in one block at SMALL_BLOCK."""
+    ghost = depth + 1
+    return max(4 * ghost, SMALL_BLOCK // (stack * width)) + 2 * ghost
+
+
+# ---------------------------------------------------------------------------
+# the TV dual step
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 10])
+@pytest.mark.parametrize("warm_start", [False, True])
+@pytest.mark.parametrize(
+    "shape", [(9, 7), (40, 33), (3, 40, 33), (1, 20), (2, 20), (40, 1), (200, 1), (200, 3)]
+)
+def test_tv_blocks_equal_one_block(shape, depth, warm_start):
+    rng = np.random.default_rng(sum(shape) + depth)
+    g = rng.uniform(0, 1, shape)
+    warm = rng.normal(0, 0.4, grid.field_shape(shape)) if warm_start else None
+    blocks = assert_tv_blocks_exact(g, depth, warm)
+    stack, (h, w) = g.size // (shape[-2] * shape[-1]), shape[-2:]
+    assert (blocks > 1) == (h > one_block_height(w, depth, stack))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 10])
+@pytest.mark.parametrize("extra, blocks", [(0, 1), (1, 2)])
+def test_tv_blocks_start_just_above_one_block(depth, extra, blocks):
+    """At height ``rows + 2G`` one block, one row more two."""
+    h = one_block_height(7, depth) + extra
+    rng = np.random.default_rng(depth)
+    g = rng.uniform(0, 1, (h, 7))
+    warm = rng.normal(0, 0.4, (2, h, 7))
+    assert assert_tv_blocks_exact(g, depth, warm) == blocks
+
+
+@given(
+    stack=hst.integers(1, 3),
+    h=hst.integers(1, 100),
+    w=hst.integers(1, 12),
+    depth=hst.integers(1, 10),
+    n=hst.integers(1, 256),
+    warm_start=hst.booleans(),
+    seed=hst.integers(0, 2**16),
+)
+@settings(max_examples=150, deadline=None)
+def test_blocks_equal_one_block_property(stack, h, w, depth, n, warm_start, seed):
+    """Every blocked function gives the bytes of one block, for any block
+    size, shape and depth; a ghost depth one row short fails this."""
+    rng = np.random.default_rng(seed)
+    shape = (stack, h, w) if stack > 1 else (h, w)
+    g = rng.uniform(0, 1, shape)
+    warm = rng.normal(0, 0.4, grid.field_shape(shape)) if warm_start else None
+    assert_tv_blocks_exact(g, depth, warm, n)
+    q = rng.normal(0, 1, grid.field_shape(shape))
+    for fn, arg in ((grid.total_variation, g), (grid.divergence, q)):
+        with block_pixels(ONE_BLOCK):
+            one = np.asarray(fn(arg)).tobytes()
+        with block_pixels(n):
+            assert np.asarray(fn(arg)).tobytes() == one
+    if min(h, w) >= 11 and stack == 1:
+        b = rng.uniform(0, 1, shape)
+        with block_pixels(ONE_BLOCK):
+            one = ssim(g, b)
+        with block_pixels(n):
+            assert ssim(g, b) == one
+
+
+# ---------------------------------------------------------------------------
+# TV(u), the divergence and SSIM
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (40, 33), (3, 40, 33), (1, 20), (2, 20), (40, 1)])
+def test_total_variation_and_divergence_blocks_equal_one_block(shape):
+    rng = np.random.default_rng(len(shape) + shape[-1])
+    u = rng.uniform(0, 1, shape)
+    q = rng.normal(0, 1, grid.field_shape(shape))
+    with block_pixels(ONE_BLOCK):
+        tv, div = grid.total_variation(u), grid.divergence(q)
+    with block_pixels(SMALL_BLOCK):
+        assert grid.total_variation(u) == tv
+        assert grid.divergence(q).tobytes() == div.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(11, 11), (12, 11), (40, 33), (33, 40), (64, 17)])
+def test_ssim_blocks_equal_one_block(shape):
+    rng = np.random.default_rng(shape[0])
+    a, b = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+    with block_pixels(ONE_BLOCK):
+        one = ssim(a, b)
+    with block_pixels(SMALL_BLOCK):
+        assert ssim(a, b) == one
+
+
+# ---------------------------------------------------------------------------
+# memory at 1024^2
+
+
+@pytest.fixture(scope="module")
+def image_1024():
+    return np.random.default_rng(31).uniform(0, 1, (1024, 1024))
+
+
+def test_tv_step_holds_two_images_beyond_its_output(image_1024, transient_peak):
+    """10 warm-started steps hold block-sized work arrays and no dual copy."""
+    g = image_1024
+    cfg = ChambolleConfig(inner_iters=10)
+    _, warm = tv_l2_denoise(g, 2.5, cfg)
+    (u, dual), peak = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
+    assert dual is warm
+    assert peak <= u.nbytes + 2 * g.nbytes
+
+
+def test_total_variation_holds_one_image(image_1024, transient_peak):
+    _, peak = transient_peak(grid.total_variation, image_1024)
+    assert peak <= 1.1 * image_1024.nbytes
+
+
+def test_ssim_holds_one_and_a_half_images(image_1024, transient_peak):
+    b = image_1024[::-1].copy()
+    _, peak = transient_peak(ssim, image_1024, b)
+    assert peak <= 1.5 * image_1024.nbytes
