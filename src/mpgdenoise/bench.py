@@ -55,10 +55,11 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import FormatError, read_image
+from .grid import _usable_cores
 from .methods import METHODS, build_config, run_method
 from .metrics import snr_or_none, ssim_or_none
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
-from .solvers import SolverConfig, _usable_cores
+from .solvers import SolverConfig
 
 # most pixels solved as one stack: 8 images at 64x64, and from 256x256 up
 # each image alone, so large images keep the memory of a single solve

@@ -23,12 +23,17 @@ gradient the row below.  So a large image is worked in row blocks (above
 with ``inner_iters + 1`` ghost rows on either side.  A wrong value at an
 artificial cut spreads one row per step and has not reached a block's own
 rows after the steps and the final divergence, so every pixel gets the bytes
-of the unblocked run.
+of the unblocked run.  Blocks read only their neighbours' rows, so on two or
+more usable cores two sweeps of blocks, one up and one down from the middle,
+run at once on two threads (numpy releases the interpreter lock in its
+loops).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +85,16 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
     bit-identical to evaluating that formula with fresh arrays.
 
     With ``G = inner_iters + 1`` ghost rows, a stack of ``B`` images of width
-    ``W`` is worked in blocks of ``max(4 G, BLOCK_PIXELS // (B W))`` rows, and
-    in one block (on the dual itself) whenever its height is at most that
-    plus ``2 G``.  Each block runs every step on a copy of its dual rows
-    widened by ``G`` on either side, then writes back only its own rows of
-    ``u`` and of the dual; the bytes are those of one block.
+    ``W`` is worked in one block (on the dual itself) whenever its height is
+    at most ``max(4 G, BLOCK_PIXELS // (B W)) + 2 G``.  A taller one is worked
+    in blocks of ``max(4 G, BLOCK_PIXELS // (B W))`` rows on one usable core.
+    On two or more, the blocks span ``max(4 G, BLOCK_PIXELS // (2 B W))``
+    rows, and two sweeps run outward from the middle: the lower one on this
+    thread, the upper one on a worker thread under this thread's numpy error
+    state, joined before this returns or raises.  Each block runs every step
+    on a copy of its dual rows widened by ``G`` on either side, then writes
+    back only its own rows of ``u`` and of the dual; the bytes are those of
+    one block.
     """
     if cfg is None:
         cfg = ChambolleConfig()
@@ -104,32 +114,91 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
 
     steps, h = cfg.inner_iters, g.shape[-2]
     ghost = steps + 1
-    rows = max(4 * ghost, grid.BLOCK_PIXELS // (g.size // h))
+    row_values = g.size // h
+    rows = max(4 * ghost, grid.BLOCK_PIXELS // row_values)
     if h <= rows + 2 * ghost:
         return _steps(g, weight, q, steps), q
+    two = grid._usable_cores() >= 2
+    if two:
+        rows = max(4 * ghost, grid.BLOCK_PIXELS // (2 * row_values))
+    blocks = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
+    blocks = [(r0, r1, max(r0 - ghost, 0), min(r1 + ghost, h)) for r0, r1 in blocks]
+    mid = len(blocks) // 2
+    sweeps = [blocks[mid:], blocks[:mid][::-1]] if two else [blocks]
     u = np.empty(g.shape)
-    spans = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
-    slabs = [(max(r0 - ghost, 0), min(r1 + ghost, h)) for r0, r1 in spans]
-    slab = q[..., slabs[0][0] : slabs[0][1], :].copy()
-    for i, ((r0, r1), (s0, s1)) in enumerate(zip(spans, slabs)):
-        _steps(g[..., s0:s1, :], weight, slab, steps, slice(r0 - s0, r1 - s0), u[..., r0:r1, :])
-        # the next block's slab holds this block's last G dual rows as they
-        # were on entry, so it is copied before they are written back
-        nxt = q[..., slabs[i + 1][0] : slabs[i + 1][1], :].copy() if i + 1 < len(spans) else None
-        q[..., r0:r1, :] = slab[..., r0 - s0 : r1 - s0, :]
-        slab = nxt
+    # every array a sweep writes is made here, on the calling thread (what a
+    # worker thread allocates grows a malloc arena of its own): work arrays
+    # for a slab and two slab buffers, the one a block runs on and the next
+    # one.  Both slabs at the cut are copied before either sweep writes a
+    # dual row.
+    size = (rows + 2 * ghost) * row_values
+    args = []
+    for sweep in sweeps:
+        work, slab, spare = np.empty(_STEP_ARRAYS * size), np.empty(2 * size), np.empty(2 * size)
+        _, _, s0, s1 = sweep[0]
+        np.copyto(_rows_of(slab, q.shape, s1 - s0), q[..., s0:s1, :])
+        args.append((g, weight, q, u, steps, sweep, work, slab, spare))
+    if not two:
+        _sweep(*args[0])
+        return u, q
+    err = dict(np.geterr(), call=np.geterrcall())
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        upper = pool.submit(_sweep_under, err, *args[1])
+        _sweep(*args[0])
+        upper.result()
     return u, q
 
 
-def _steps(g, weight, q, steps, own=slice(None), out=None):
+#: image-sized work arrays of one :func:`_steps` call: ``weight * g``, ``z``,
+#: ``m`` and the two components of ``t``
+_STEP_ARRAYS = 5
+
+
+def _rows_of(buf, shape, n):
+    """The first values of the flat array ``buf`` as an array of ``shape``
+    cut to ``n`` rows: a contiguous view."""
+    shape = shape[:-2] + (n, shape[-1])
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _sweep(g, weight, q, u, steps, blocks, work, slab, spare):
+    """Run ``blocks`` ``(r0, r1, s0, s1)`` in order, each on its dual rows
+    ``s0:s1``, which ``slab`` (a flat buffer) holds on entry, writing rows
+    ``r0:r1`` of ``u`` and of ``q``.  The next block's slab overlaps this
+    one's own rows, so it is copied into ``spare`` before they are written
+    back."""
+    for i, (r0, r1, s0, s1) in enumerate(blocks):
+        dual = _rows_of(slab, q.shape, s1 - s0)
+        _steps(g[..., s0:s1, :], weight, dual, steps, slice(r0 - s0, r1 - s0), u[..., r0:r1, :], work)
+        if i + 1 < len(blocks):
+            _, _, n0, n1 = blocks[i + 1]
+            np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
+        q[..., r0:r1, :] = dual[..., r0 - s0 : r1 - s0, :]
+        slab, spare = spare, slab
+
+
+def _sweep_under(err: dict, *args):
+    """:func:`_sweep` under the numpy error state ``err`` (a thread starts
+    from the default state, not from its caller's)."""
+    with np.errstate(**err):
+        _sweep(*args)
+
+
+def _steps(g, weight, q, steps, own=slice(None), out=None, work=None):
     """``steps`` dual steps on ``q`` in place; returns rows ``own`` of
-    ``g - (1/weight) div q``, in a new array or ``out``."""
-    wg = weight * g
+    ``g - (1/weight) div q``, in a new array or ``out``.  The work arrays
+    are views of the flat array ``work`` when given (``_STEP_ARRAYS`` images
+    of ``g``'s size at least), else new."""
     # work arrays: z = div q - weight*g (then scratch for t_y^2), t = grad z,
     # m = 1 + TAU*|t|, seen by q through m_q
-    z = np.empty(g.shape)
-    t = np.empty(q.shape)
-    m = np.empty(g.shape)
+    if work is None:
+        wg, z, m, t = weight * g, np.empty(g.shape), np.empty(g.shape), np.empty(q.shape)
+    else:
+        n = g.size
+        wg = np.multiply(weight, g, out=work[:n].reshape(g.shape))
+        z = work[n : 2 * n].reshape(g.shape)
+        m = work[2 * n : 3 * n].reshape(g.shape)
+        t = work[3 * n : 5 * n].reshape(q.shape)
     m_q = m[..., None, :, :]
     for _ in range(steps):
         divergence(q, out=z)

@@ -12,7 +12,15 @@ Two image formats are supported:
   the default for anything that feeds back into computation.  The reader
   parses the file's bytes in one C pass (``np.fromstring``), header
   included, so it holds the file and the result array and no Python object
-  per sample.
+  per sample.  Above ``grid.BLOCK_PIXELS`` samples, on two or more usable
+  cores and with no other thread alive, the work is split in two forked
+  processes (the formatting and parsing hold the interpreter lock, so
+  threads would not help): the writer formats the lower rows in a child,
+  into a temporary file it then appends, and the reader cuts the file at the
+  first newline after its middle and parses each part in a child, which
+  sends its values back through a pipe into the result.  The bytes written,
+  the image read and every error message are those of one process; a child
+  that fails raises ``OSError``.
 
 Traces are CSV with a stable header and optional leading ``# key=value``
 comment lines echoing the resolved configuration.
@@ -21,13 +29,19 @@ comment lines echoing the resolved configuration.
 from __future__ import annotations
 
 import csv
+import functools
+import os
 import re
+import shutil
+import tempfile
+import threading
 import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from . import grid
 from .grid import as_image
 from .solvers import TraceRecord
 
@@ -100,6 +114,128 @@ def _write_pgm(path: Path, u: np.ndarray) -> None:
 # plain-text float format
 
 
+def _two_halves(samples: int) -> bool:
+    """Whether float text of ``samples`` samples is read or written in two
+    forked halves (forking with another thread alive could copy a lock it
+    holds into the child)."""
+    return (
+        samples > grid.BLOCK_PIXELS
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+        and grid._usable_cores() >= 2
+    )
+
+
+def _forked(work):
+    """Run ``work()`` in a forked child, which exits as soon as it returns or
+    raises; returns a join that waits for the child and raises ``OSError``
+    unless ``work`` returned."""
+    pid = os.fork()
+    if pid == 0:  # the child: never returns to the caller
+        code = 1
+        try:
+            work()
+            code = 0
+        finally:
+            os._exit(code)
+
+    def join():
+        status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise OSError(f"float-text worker process {pid} failed (wait status {status})")
+
+    return join
+
+
+def _join_all(joins) -> None:
+    """Call every join, then raise the first ``OSError`` among them."""
+    failures = []
+    for join in joins:
+        try:
+            join()
+        except OSError as exc:
+            failures.append(exc)
+    if failures:
+        raise failures[0]
+
+
+def _parse(data: bytes) -> np.ndarray:
+    """Every number in ``data`` (whitespace-separated), in one C pass."""
+    # A token that is not a number stops the parse: numpy >= 2 raises
+    # ValueError, numpy < 2 only warns and returns the values before it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.fromstring(data, sep=" ")
+        except (ValueError, DeprecationWarning) as exc:
+            raise FormatError("non-numeric sample in float image") from exc
+
+
+# np.fromstring reads a string of whitespace alone as [-1.0], so a part to
+# be parsed on its own must hold a byte that is not whitespace
+_NOT_SPACE = re.compile(rb"[^ \t\n\r\x0b\x0c]")
+
+
+def _send_samples(data: bytes, start: int, stop: int, skip: int, fd: int) -> None:
+    """(In a child.)  Parse ``data[start:stop]`` and write to pipe ``fd`` its
+    count of numbers after the first ``skip`` (-1 for a token that is not a
+    number) as an int64, then those numbers as raw float64."""
+    try:
+        vals = _parse(data[start:stop])[skip:]
+        count = vals.size
+    except FormatError:
+        vals, count = np.empty(0), -1
+    try:
+        for buf in (memoryview(np.int64(count).tobytes()), memoryview(vals).cast("B")):
+            while buf:
+                buf = buf[os.write(fd, buf) :]
+    except BrokenPipeError:
+        pass  # the parent has rejected the file and stopped reading
+
+
+def _receive(fd: int, buf: memoryview) -> None:
+    """Fill ``buf`` from pipe ``fd``."""
+    while buf:
+        n = os.readv(fd, [buf])
+        if n == 0:
+            raise OSError("a float-text worker process ended early")
+        buf = buf[n:]
+
+
+def _parse_halves(data: bytes, cut: int, samples: int) -> np.ndarray:
+    """The ``samples`` samples of float text ``data``, header values left
+    out, parsed as ``data[:cut]`` and ``data[cut:]`` in two forked children
+    at once; raises the ``FormatError`` that parsing ``data`` whole would."""
+    reads, joins = [], []
+    try:
+        for start, stop, skip in ((0, cut, 2), (cut, len(data), 0)):
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                joins.append(_forked(functools.partial(_send_samples, data, start, stop, skip, w)))
+            finally:
+                os.close(w)  # before the next fork, so that a pipe ends with its child
+        counts = []
+        for r in reads:
+            head = np.empty(1, np.int64)
+            _receive(r, memoryview(head).cast("B"))
+            counts.append(int(head[0]))
+        if min(counts) < 0:
+            raise FormatError("non-numeric sample in float image")
+        if sum(counts) != samples:
+            raise FormatError(f"expected {samples} samples, found {sum(counts)}")
+        out = np.empty(samples)
+        view = memoryview(out).cast("B")
+        for r, n in zip(reads, counts):
+            _receive(r, view[: n * out.itemsize])
+            view = view[n * out.itemsize :]
+        return out
+    finally:
+        for r in reads:  # a child still writing then stops
+            os.close(r)
+        _join_all(joins)
+
+
 def _read_float_text(data: bytes) -> np.ndarray:
     newline = data.find(b"\n")
     header = data if newline < 0 else data[:newline]
@@ -110,28 +246,51 @@ def _read_float_text(data: bytes) -> np.ndarray:
         raise FormatError("malformed float-image header (want 'width height')") from exc
     if width < 1 or height < 1:
         raise FormatError("non-positive float-image dimensions")
-    # The whole buffer, header included, so the body is never copied.  A token
-    # that is not a number stops the parse: numpy >= 2 raises ValueError,
-    # numpy < 2 only warns and returns the values before it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            vals = np.fromstring(data, sep=" ")
-        except (ValueError, DeprecationWarning) as exc:
-            raise FormatError("non-numeric sample in float image") from exc
-    if vals.size - 2 != width * height:
-        raise FormatError(f"expected {width * height} samples, found {vals.size - 2}")
+    samples = width * height
+    # the cut is a newline, which no token spans, so each part holds whole
+    # tokens, and the header is in the first
+    cut = data.find(b"\n", len(data) // 2) + 1 if _two_halves(samples) else 0
+    if cut and _NOT_SPACE.search(data, cut):
+        return _parse_halves(data, cut, samples).reshape(height, width)
+    # the whole buffer, header included, so the body is never copied
+    vals = _parse(data)
+    if vals.size - 2 != samples:
+        raise FormatError(f"expected {samples} samples, found {vals.size - 2}")
     # the first two values parsed are the header's width and height
     return vals[2:].reshape(height, width)
 
 
+def _write_rows(fh, rows) -> None:
+    for row in rows:
+        fh.write(" ".join(repr(x) for x in row.tolist()))
+        fh.write("\n")
+
+
+def _write_lower_rows(fd: int, rows) -> None:
+    """(In a child.)  :func:`_write_rows` into the open file ``fd``."""
+    with open(fd, "w", closefd=False) as fh:
+        _write_rows(fh, rows)
+
+
 def _write_float_text(path: Path, u: np.ndarray) -> None:
     h, w = u.shape
+    half = h // 2 if h >= 2 and _two_halves(u.size) else h
     with open(path, "w") as fh:
         fh.write(f"{w} {h}\n")
-        for row in u:
-            fh.write(" ".join(repr(x) for x in row.tolist()))
-            fh.write("\n")
+        if half == h:
+            _write_rows(fh, u)
+            return
+        # a child formats the lower rows into a temporary file next to the
+        # output while this process formats the upper ones
+        with tempfile.TemporaryFile(dir=path.parent) as tail:
+            join = _forked(functools.partial(_write_lower_rows, tail.fileno(), u[half:]))
+            try:
+                _write_rows(fh, u[:half])
+            finally:
+                join()
+            fh.flush()
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh.buffer)
 
 
 def read_image(path) -> np.ndarray:

@@ -25,16 +25,36 @@ of SSIM and of the divergence's y part runs in row blocks: each block spans
 the operand it sweeps holds (``B * W`` for a stack of ``B`` images, ``2 * W``
 for a gradient field or an image pair), plus the halo rows its stencil reads.
 Every pixel gets the same operations as without blocks, so the bytes do not
-change; only the temporaries shrink to block size.
+change; only the temporaries shrink to block size.  On two or more usable
+cores (:func:`_usable_cores`), the same rule splits image-sized work in two:
+the blocked TV dual step runs two sweeps of half-size blocks on two threads,
+and float-text reads and writes of more than ``BLOCK_PIXELS`` samples run
+half in a forked child (see :mod:`mpgdenoise.chambolle` and
+:mod:`mpgdenoise.fileio`).
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
-#: the one block-size rule: work above this many values runs in row blocks
+#: the one block-size rule: work above this many values runs in row blocks,
+#: and, on two or more usable cores, in two halves at once
 BLOCK_PIXELS = 2**17
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (CPU affinity and cpusets respected).
+
+    The one rule for using a second core: the solvers' trace helper, the TV
+    sweeps, the float-text halves and the bench's worker count all read it.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 class ShapeMismatchError(ValueError):
@@ -69,7 +89,9 @@ def as_images(a) -> np.ndarray:
 
 
 def _finite(arr):
-    if not np.all(np.isfinite(arr)):
+    # min and max are NaN if an entry is NaN and infinite if one is: two
+    # passes, with no image-sized mask
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise DomainError("image contains non-finite entries")
     return arr
 
@@ -79,15 +101,38 @@ def field_shape(shape: tuple) -> tuple:
     return shape[:-2] + (2,) + shape[-2:]
 
 
+def _joined_rows(a: np.ndarray) -> np.ndarray | None:
+    """``a`` as a ``(..., H*W)`` view when each of its ``(H, W)`` planes is
+    one contiguous run of memory, else ``None``.
+
+    The x differences of :func:`gradient` and :func:`divergence` take one
+    pass over such a plane, differences across row ends included, and then
+    overwrite the edge column that holds the latter; each entry ends with the
+    value the per-row expression gives it.  (A difference across a row end
+    can raise a floating-point error only where a row ends or starts with an
+    infinity or a value within a factor of two of the float64 range.)
+    """
+    h, w = a.shape[-2:]
+    if (w > 1 and a.strides[-1] != a.itemsize) or (h > 1 and a.strides[-2] != w * a.itemsize):
+        return None
+    return a.reshape(a.shape[:-2] + (h * w,))
+
+
 def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference gradient; last row/column of differences are zero.
 
-    Each entry is written once, into a new field array or into ``out`` when
-    given (which must not overlap ``u``); returns that array.
+    Every entry is written into a new field array or into ``out`` when given
+    (which must not overlap ``u``), and ends with the value of its own
+    difference; returns that array.
     """
     q = np.empty(field_shape(u.shape)) if out is None else out
-    np.subtract(u[..., 1:], u[..., :-1], out=q[..., 0, :, :-1])
-    q[..., 0, :, -1] = 0.0
+    qx = q[..., 0, :, :]
+    uf, qxf = _joined_rows(u), _joined_rows(qx)
+    if uf is not None and qxf is not None:
+        np.subtract(uf[..., 1:], uf[..., :-1], out=qxf[..., :-1])
+    else:
+        np.subtract(u[..., 1:], u[..., :-1], out=qx[..., :-1])
+    qx[..., -1] = 0.0
     np.subtract(u[..., 1:, :], u[..., :-1, :], out=q[..., 1, :-1, :])
     q[..., 1, -1, :] = 0.0
     return q
@@ -108,8 +153,12 @@ def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     h, w = qx.shape[-2:]
     d = np.empty(qx.shape) if out is None else out
     if w > 1:
+        qxf, df = _joined_rows(qx), _joined_rows(d)
+        if qxf is not None and df is not None:
+            np.subtract(qxf[..., 1:], qxf[..., :-1], out=df[..., 1:])
+        else:
+            np.subtract(qx[..., 1 : w - 1], qx[..., 0 : w - 2], out=d[..., 1 : w - 1])
         d[..., 0] = qx[..., 0]
-        np.subtract(qx[..., 1 : w - 1], qx[..., 0 : w - 2], out=d[..., 1 : w - 1])
         # a plain assignment: numpy 2.4 np.negative into a strided column
         # view gives wrong values for some widths (8 among them)
         d[..., w - 1] = -qx[..., w - 2]

@@ -107,7 +107,6 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
-import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -118,6 +117,7 @@ import numpy as np
 from .chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
 from .grid import (
     DomainError,
+    _usable_cores,
     as_images,
     divergence,
     dot,
@@ -250,14 +250,6 @@ def _keep(s: SimpleNamespace, idx: list[int]) -> None:
 # (on 2 cores the two paths break even near 160x160; below, the threads'
 # small numpy calls pass the interpreter lock back and forth)
 HELPER_PIXELS = 2**15
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on (CPU affinity and cpusets respected)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
 
 
 def _columns(err: dict, img: SimpleNamespace, diagnose, truth, b: int):

@@ -4,7 +4,9 @@ PGM fixtures are built byte-by-byte in the tests so the reader is checked
 against the format, not against the writer.
 """
 
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mpgdenoise import fileio, grid
+from mpgdenoise.cli import main
 from mpgdenoise.fileio import (
     TRACE_HEADER,
     FormatError,
@@ -372,6 +376,189 @@ def test_float_text_reader_matches_reference(tmp_path, data):
             read_image(p)
     else:
         assert read_image(p).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# float text in two forked halves
+
+
+@pytest.fixture
+def halves(monkeypatch):
+    """``halves(n)``: float text of more than ``n`` samples takes the two
+    forked halves, on any number of cores; returns the list that each
+    ``os.fork`` call appends to."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    def split_above(n):
+        monkeypatch.setattr(grid, "BLOCK_PIXELS", n)
+        monkeypatch.setattr(grid, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    return split_above
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("shape", [
+    (9, 8), (7, 11), (11, 7), (3, 33), (1, 100), (100, 1), (2, 40),
+    (8, 8), (13, 5),  # 64 samples, one below the block size, and 65
+])
+def test_split_writer_and_reader_give_the_serial_bytes(tmp_path, halves, shape):
+    u = np.random.default_rng(sum(shape)).standard_normal(shape)
+    u[0, 0] = 5e-324
+    serial, split = tmp_path / "serial.txt", tmp_path / "split.txt"
+    write_image(serial, u)
+    forks = halves(64)
+    write_image(split, u)
+    forked = u.size > 64 and shape[0] >= 2
+    assert len(forks) == forked
+    assert split.read_bytes() == serial.read_bytes()
+    got = read_image(split)
+    # parsed whole unless a newline after the middle has a sample after it
+    # (never so for a 1xN file)
+    data = split.read_bytes()
+    cut = data.find(b"\n", len(data) // 2) + 1
+    assert len(forks) == forked + 2 * (u.size > 64 and cut > 0 and bool(data[cut:].strip()))
+    assert got.tobytes() == u.tobytes()
+    assert sorted(os.listdir(tmp_path)) == ["serial.txt", "split.txt"]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n1 2\n3 y\n", "non-numeric sample in float image"),
+    ("2 2\n1 y\n3 4\n", "non-numeric sample in float image"),
+    ("2 2\n1 2\n3\n", "expected 4 samples, found 3"),
+    ("2 2\n1 2\n3 4 5\n", "expected 4 samples, found 5"),
+    ("2 2\n1 2 3 4x\n6\n", "non-numeric sample in float image"),
+    ("2 2\n1 2 3 4\n \n \n \n", "<image>"),  # only whitespace after the cut
+    ("2 2\n1\n2\n3\n4 5\n\n", "expected 4 samples, found 5"),
+    ("2 2\n1\n2\n3\n1e999\n", "image contains non-finite entries"),
+])
+def test_split_reader_errors(tmp_path, halves, text, message):
+    p = tmp_path / "bad.dat"
+    p.write_text(text)
+    forks = halves(0)
+    if message == "<image>":
+        assert read_image(p).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    else:
+        with pytest.raises(FormatError, match=message):
+            read_image(p)
+    assert len(forks) == (0 if message == "<image>" else 2)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "malformed float-image header"),
+    ("2 2", "expected 4 samples, found 0"),
+    ("2 x\n1 2 3 4\n", "malformed float-image header"),
+    ("2 2 2\n1 2 3 4\n", "malformed float-image header"),
+    ("-1 2\n", "non-positive float-image dimensions"),
+    ("2 2\n1 2\n3 y\n", "non-numeric sample in float image"),
+    ("2 2\n1 2\n3\n", "expected 4 samples, found 3"),
+    ("2 2\n1 2 3 4x", "non-numeric sample in float image"),  # trailing bad token
+    ("2 2\n", "expected 4 samples, found 0"),
+    ("2 2\n \n\t\n", "expected 4 samples, found 0"),
+    ("1 1\n\u00e9\n", "neither PGM nor float text"),
+])
+def test_float_text_error_messages_through_split_reader(tmp_path, halves, text, message):
+    """The cases of ``test_float_text_error_messages``, with every file above
+    the block size."""
+    halves(0)
+    test_float_text_error_messages(tmp_path, text, message)
+    assert_no_child_left()
+
+
+@settings(_RUN_IN_TMP_PATH, max_examples=200)
+@given(data=_float_texts())
+def test_split_reader_matches_reference(tmp_path, halves, data):
+    halves(0)
+    test_float_text_reader_matches_reference.hypothesis.inner_test(tmp_path, data)
+
+
+def test_split_reader_takes_crlf_and_one_line_files(tmp_path, halves):
+    u = np.random.default_rng(5).standard_normal((9, 8))
+    p = tmp_path / "u.txt"
+    write_image(p, u)
+    crlf, one_line = tmp_path / "crlf.txt", tmp_path / "one_line.txt"
+    header, body = p.read_bytes().split(b"\n", 1)
+    crlf.write_bytes(p.read_bytes().replace(b"\n", b"\r\n"))
+    one_line.write_bytes(header + b"\n" + body.replace(b"\n", b" ") + b"\n")
+    forks = halves(64)
+    assert read_image(crlf).tobytes() == u.tobytes()
+    assert len(forks) == 2
+    assert read_image(one_line).tobytes() == u.tobytes()  # parsed whole
+    assert len(forks) == 2
+
+
+def _fails_in_a_child(real, parent=os.getpid()):
+    def fails(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a child fails")
+        return real(*args)
+
+    return fails
+
+
+def test_failing_writer_child_is_os_error(tmp_path, halves, monkeypatch, capsys):
+    clean = tmp_path / "clean.txt"
+    write_image(clean, np.full((16, 16), 0.5))
+    halves(64)
+    monkeypatch.setattr(fileio, "_write_rows", _fails_in_a_child(fileio._write_rows))
+    with pytest.raises(OSError, match="worker process"):
+        write_image(tmp_path / "out.txt", np.zeros((16, 16)))
+    assert_no_child_left()
+    argv = ["corrupt", "--input", str(clean), "--eta", "4", "--seed", "1", "-o", str(tmp_path / "noisy.txt")]
+    assert main(argv) == 2
+    assert "worker process" in capsys.readouterr().err
+    assert_no_child_left()
+    # no temporary file is left next to the outputs
+    assert sorted(os.listdir(tmp_path)) == ["clean.txt", "noisy.txt", "out.txt"]
+
+
+def test_failing_reader_child_is_os_error(tmp_path, halves, monkeypatch):
+    p = tmp_path / "u.txt"
+    write_image(p, np.full((16, 16), 0.5))
+    halves(64)
+    monkeypatch.setattr(fileio, "_parse", _fails_in_a_child(fileio._parse))
+    with pytest.raises(OSError, match="worker process"):
+        read_image(p)
+    assert_no_child_left()
+
+
+def test_two_threads_alive_stay_serial(tmp_path, halves, monkeypatch):
+    u = np.random.default_rng(6).standard_normal((9, 8))
+    serial, split = tmp_path / "serial.txt", tmp_path / "split.txt"
+    write_image(serial, u)
+    forks = halves(64)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        write_image(split, u)
+        got = read_image(split)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    assert split.read_bytes() == serial.read_bytes()
+    assert got.tobytes() == u.tobytes()
+
+
+def test_float_text_writer_memory(tmp_path, transient_peak):
+    """The writer holds a row's text at a time, in either half."""
+    u = np.random.default_rng(4).standard_normal((512, 512))
+    _, peak = transient_peak(write_image, tmp_path / "u.txt", u)
+    assert peak <= 0.1 * u.nbytes
 
 
 def test_read_image_missing_file_is_format_error(tmp_path):

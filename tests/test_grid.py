@@ -138,6 +138,39 @@ def test_operators_byte_equal_to_slice_formulas_on_every_shape_to_33():
             assert div_out.tobytes() == div_ref, (h, w)
 
 
+def nan_views(shape):
+    """NaN-filled arrays of ``shape``: contiguous, every other column of a
+    wider array, and every other row of a taller one."""
+    *lead, h, w = shape
+    return [
+        np.full(shape, np.nan),
+        np.full((*lead, h, 2 * w), np.nan)[..., ::2],
+        np.full((*lead, 2 * h, w), np.nan)[..., ::2, :],
+    ]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+@pytest.mark.parametrize("h, w", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 8), (8, 5), (17, 2), (33, 33)])
+def test_operators_byte_equal_on_stacks_and_strided_operands(lead, h, w):
+    """Contiguous planes take one pass over each plane for the x
+    differences, strided ones the per-row expression; both give the slice
+    formulas' bytes, into new arrays and into NaN-filled ``out=`` views."""
+    rng = np.random.default_rng(h * 40 + w)
+    u = rng.standard_normal((*lead, h, w))
+    q = rng.standard_normal(grid.field_shape(u.shape))
+    grad_ref = np.stack([gradient_reference(x) for x in u.reshape(-1, h, w)]).reshape(q.shape).tobytes()
+    div_ref = np.stack([divergence_reference(x) for x in q.reshape(-1, 2, h, w)]).reshape(u.shape).tobytes()
+    for u_in, q_in in zip(nan_views(u.shape), nan_views(q.shape)):
+        u_in[...], q_in[...] = u, q
+        assert grid.gradient(u_in).tobytes() == grad_ref
+        assert grid.divergence(q_in).tobytes() == div_ref
+        for grad_out, div_out in zip(nan_views(q.shape), nan_views(u.shape)):
+            assert grid.gradient(u_in, out=grad_out) is grad_out
+            assert grid.divergence(q_in, out=div_out) is div_out
+            assert np.ascontiguousarray(grad_out).tobytes() == grad_ref
+            assert np.ascontiguousarray(div_out).tobytes() == div_ref
+
+
 def test_dot_is_the_inner_product():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((2, 7, 9))
