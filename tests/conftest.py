@@ -1,8 +1,14 @@
 """Shared test fixtures."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import mpgdenoise
 
 
 @pytest.fixture
@@ -26,3 +32,25 @@ def transient_peak():
                 tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture
+def fresh_python():
+    """``run(code, *args)`` runs ``code`` in a new interpreter that imports
+    this package from the same tree as the tests do, and returns the last
+    line of its standard output.  The test process has long imported scipy,
+    so only a fresh one shows what an import or a command loads."""
+    src = str(Path(mpgdenoise.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code, *args):
+        out = subprocess.run(
+            [sys.executable, "-c", code, *map(str, args)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return out.stdout.strip().splitlines()[-1]
+
+    return run

@@ -612,3 +612,51 @@ def test_serial_without_fork(tmp_path, monkeypatch, pools):
     rows = read_rows(run_bench(spec, threads=2))
     assert pools == []
     assert all(r["status"].startswith("ok") for r in rows)
+
+
+BCAF_SPEC = """\
+    [experiment]
+    image = flat
+    width = 16
+    height = 16
+    seeds = 0 1
+    output_dir = {out}
+
+    [noise.a]
+    eta = 4
+
+    [noise.b]
+    eta = 8
+
+    [solver.tvl2]
+    method = tvl2
+    max_iters = 3
+"""
+
+# run_bench on two pretended cores, reporting whether scipy.fft was loaded
+# when each process pool started and once the grid was done
+FORKED_BENCH = """\
+import sys
+import mpgdenoise.bench as bench
+seen, real = [], bench.ProcessPoolExecutor
+
+def spy(max_workers, **kwargs):
+    seen.append('scipy.fft' in sys.modules)
+    return real(max_workers=max_workers, **kwargs)
+
+bench._usable_cores = lambda: 2
+bench.ProcessPoolExecutor = spy
+bench.run_bench(bench.load_experiment(sys.argv[1]), threads=2)
+print(seen, 'scipy.fft' in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("with_bcaf, expected", [(True, "[True] True"), (False, "[False] False")])
+def test_forked_workers_inherit_the_dct_import(tmp_path, fresh_python, with_bcaf, expected):
+    """With a bcaf section the caller imports scipy.fft before it forks, so
+    the workers do not each import it; without one, nobody does."""
+    body = BCAF_SPEC + ("\n    [solver.bcaf]\n    method = bcaf\n    max_iters = 3\n" if with_bcaf else "")
+    spec = write_spec(tmp_path, body.format(out=tmp_path / "out"))
+    assert fresh_python(FORKED_BENCH, spec) == expected
+    rows = read_rows(tmp_path / "out" / "results.csv")
+    assert all(r["status"].startswith("ok") for r in rows)

@@ -394,3 +394,37 @@ def test_denoise_overflowing_iterate_exits_3(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+# ---------------------------------------------------------------------------
+# what a command imports: scipy only for bcaf's DCT
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+COMMAND = f"import sys; from mpgdenoise.cli import main; code = main(sys.argv[1:]); print(code, {SCIPY_MODULES})"
+
+
+def test_import_loads_no_scipy(fresh_python):
+    """scipy costs about 24 MB and 0.3 s at import; only bcaf's DCT needs it,
+    and that imports it on the first solve."""
+    assert fresh_python(f"import sys, mpgdenoise; print({SCIPY_MODULES})") == "[]"
+
+
+def test_commands_without_bcaf_load_no_scipy(tmp_path, fresh_python):
+    clean, noisy = tmp_path / "clean.txt", tmp_path / "noisy.txt"
+    runs = [
+        ["phantom", "--kind", "circles", "--width", "32", "--height", "32", "-o", clean],
+        ["corrupt", "--input", clean, "--eta", "4", "--sigma", "1e-4", "--seed", "1", "-o", noisy],
+    ] + [
+        ["denoise", "--input", noisy, "--solver", solver, "--max-iters", "5", "--truth", clean,
+         "--trace", tmp_path / f"{solver}.csv", "-o", tmp_path / f"{solver}.txt"]
+        for solver in ("bca", "tvl2", "tvkl")
+    ]
+    for argv in runs:
+        assert fresh_python(COMMAND, *argv) == "0 []", argv
+
+
+def test_bcaf_solve_loads_scipy_fft(tmp_path, fresh_python):
+    noisy, _, _ = make_noisy(tmp_path)
+    argv = ["denoise", "--input", noisy, "--solver", "bcaf", "--max-iters", "3", "-o", tmp_path / "out.txt"]
+    code = "import sys; from mpgdenoise.cli import main; code = main(sys.argv[1:]); print(code, 'scipy.fft' in sys.modules)"
+    assert fresh_python(code, *argv) == "0 True"

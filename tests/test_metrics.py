@@ -1,17 +1,12 @@
 """SNR, SSIM, and the model objective."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.signal import convolve2d
 
-import mpgdenoise
 from mpgdenoise.grid import DomainError, ShapeMismatchError, total_variation
 from mpgdenoise import metrics
 from mpgdenoise.metrics import SNR_CAP_DB, objective_H, snr, ssim
@@ -161,21 +156,6 @@ def test_ssim_matches_2d_convolution(window, shape):
     edge = (window, window)
     a, b = rng.uniform(0, 1, edge), rng.uniform(0, 1, edge)
     assert abs(ssim(a, b) - _ssim_2d_oracle(a, b)) <= 1e-12
-
-
-def test_import_does_not_load_scipy_signal():
-    """scipy.signal costs about a second and 45 MB at import; nothing needs it."""
-    src = str(Path(mpgdenoise.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, mpgdenoise; print('scipy.signal' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

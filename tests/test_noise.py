@@ -1,11 +1,12 @@
 """Mixed Poisson-Gaussian synthesis: determinism, distribution, phantoms."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 
 from mpgdenoise import noise
 from mpgdenoise.grid import DomainError
@@ -205,6 +206,92 @@ def test_poisson_inversion_matches_per_pixel_search(monkeypatch):
         expected[i] = j
     assert np.array_equal(k, expected)
     assert np.all(k[:3] == 400.0) and np.all(k[3:6] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the Cephes ports: scipy's bits without importing scipy
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("seed, draw", [(0, 0), (7, 0), (12345, 1), (2**63 + 5, 3)])
+def test_ndtri_matches_scipy_on_uniform_draws(seed, draw):
+    """Half a million draws of ``_uniforms``' form per case: the central
+    region and both tails, about 27% of them through the two ``log`` calls."""
+    keys = noise._pixel_keys(seed, 0, 500_000)
+    y = noise._uniforms(keys, np.full(keys.size, draw, dtype=np.uint64))
+    want = ndtri(y)
+    assert same_bits(noise._ndtri(y.copy()), want)
+
+
+def test_ndtri_matches_scipy_at_region_edges():
+    e2, e32 = math.exp(-2.0), math.exp(-32.0)
+    edges = [0.5 * 2.0**-53, 1.0 - 2.0**-54, 1.0 - 2.0**-53, e2, 1.0 - e2, e32, 1.0 - e32]
+    y = np.array([v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))]
+                 + [0.0, 1.0, 0.5, 5e-324, 1e-300])
+    got = noise._ndtri(y.copy())
+    assert same_bits(got, ndtri(y))
+    assert got[-5] == -math.inf and got[-4] == math.inf and got[-3] == 0.0
+
+
+def test_gammaln_matches_scipy_on_integers():
+    x = np.arange(-5.0, 1_000_001.0)
+    assert same_bits(noise._gammaln(x), gammaln(x))
+    big = np.floor(np.random.default_rng(3).uniform(0.0, 1e12, 100_000))
+    # each side of the series' switches at 13, 1000 and 1e8
+    big = np.concatenate([big, [12.0, 13.0, 999.0, 1000.0, 1e8, 1e8 + 1.0]])
+    assert same_bits(noise._gammaln(big), gammaln(big))
+
+
+def test_log_factorial_matches_scipy_in_and_beyond_its_table():
+    k = np.arange(0.0, noise._LOG_FACTORIAL_TABLE)
+    assert same_bits(noise._log_factorial(k), gammaln(k + 1.0))
+    # one count past the table sends the whole array to the series
+    k = np.arange(0.0, noise._LOG_FACTORIAL_TABLE + 50.0)
+    assert same_bits(noise._log_factorial(k), gammaln(k + 1.0))
+    assert noise._log_factorial(np.zeros(0)).size == 0
+
+
+def ptrs_oracle(mean, keys, draw0):
+    """The rejection sampler as first written: the log test and scipy's
+    ``gammaln`` on every pending candidate, selected by boolean masks."""
+    m = mean
+    log_m = np.log(m)
+    b = 0.931 + 2.53 * np.sqrt(m)
+    a = -0.059 + 0.02483 * b
+    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
+    v_r = 0.9277 - 3.6224 / (b - 2.0)
+    k = np.zeros(m.shape)
+    draw = np.array(draw0, dtype=np.uint64, copy=True)
+    pending = np.ones(m.shape, dtype=bool)
+    while pending.any():
+        u = noise._uniforms(keys[pending], draw[pending]) - 0.5
+        v = noise._uniforms(keys[pending], draw[pending] + np.uint64(1))
+        draw[pending] += np.uint64(2)
+        us = 0.5 - np.abs(u)
+        cand = np.floor((2.0 * a[pending] / us + b[pending]) * u + m[pending] + 0.43)
+        accept = (us >= 0.07) & (v <= v_r[pending])
+        plausible = (cand >= 0.0) & ((us >= 0.013) | (v <= us))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_accept = np.log(
+                v * inv_alpha[pending] / (a[pending] / (us * us) + b[pending])
+            ) <= (cand * log_m[pending] - m[pending] - gammaln(cand + 1.0))
+        accept = accept | (plausible & log_accept)
+        idx = np.flatnonzero(pending)
+        k[idx[accept]] = cand[accept]
+        pending[idx[accept]] = False
+    return k
+
+
+def test_rejection_sampler_matches_scipy_gammaln_oracle():
+    """Means from 10 to 1e7: table lookups, the series, and the tests the
+    sampler now skips for candidates the quick test has accepted."""
+    mean = np.geomspace(10.0, 1e7, 60_000)
+    keys = noise._pixel_keys(9, 0, mean.size)
+    draw0 = np.full(mean.size, 5, dtype=np.uint64)
+    assert same_bits(noise._poisson_ptrs(mean, keys, draw0), ptrs_oracle(mean, keys, draw0))
 
 
 # ---------------------------------------------------------------------------
