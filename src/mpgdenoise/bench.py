@@ -35,14 +35,11 @@ usable core (``threads=``, which must be positive, else all usable cores; 1
 forces serial execution, as does a platform without the ``fork`` start
 method).  Processes, not threads: a solve is thousands of small numpy calls,
 and worker threads would spend their time passing the interpreter lock back
-and forth.  The workers are forked after the caller has imported
-``scipy.fft`` when a solver section runs ``bcaf``, so they share that import
-rather than each paying about 0.3 s for it.  Rows are
-gathered and written by the caller in a fixed order, so identical inputs
-give identical CSVs aside from the timing column.  A failing cell is
-recorded in its row's status column and does not stop the harness: when a
-stack's solve raises, its cells are solved again one by one, so each keeps
-its own status.
+and forth.  Rows are gathered and written by the caller in a fixed order,
+so identical inputs give identical CSVs aside from the timing column.  A
+failing cell is recorded in its row's status column and does not stop the
+harness: when a stack's solve raises, its cells are solved again one by
+one, so each keeps its own status.
 """
 
 from __future__ import annotations
@@ -61,7 +58,6 @@ from .grid import _usable_cores
 from .methods import METHODS, build_config, run_method
 from .metrics import snr_or_none, ssim_or_none
 from .noise import PHANTOM_KINDS, NoiseSpec, corrupt, make_phantom
-from .screened_poisson import _fft
 from .solvers import SolverConfig
 
 # most pixels solved as one stack: 8 images at 64x64, and from 256x256 up
@@ -241,10 +237,7 @@ def run_bench(spec: ExperimentSpec, threads: int | None = None) -> Path:
         batches = [_run_cells(*stack) for stack in stacks]
     else:
         # fork, not the platform default: the workers inherit the imported
-        # package instead of importing it again on every call, and so the
-        # DCT too, which the package imports on bcaf's first solve
-        if any(method == "bcaf" for _label, method, _cfg in spec.solvers):
-            _fft()
+        # package instead of importing it again on every call
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx) as pool:
             batches = list(pool.map(_run_cells, *zip(*stacks), chunksize=1))

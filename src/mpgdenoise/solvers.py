@@ -114,7 +114,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
+from .chambolle import ChambolleConfig, _shrink, tv_l2_denoise, tv_l2_energy
 from .grid import (
     DomainError,
     _usable_cores,
@@ -354,14 +354,15 @@ def _bilinear_handoff(img: SimpleNamespace) -> SimpleNamespace:
     observation ``f`` and the arrays the iteration already formed from that
     iterate: ``gap = v .* w - u`` (from the multiplier step) and
     ``log_w = ln(w)``.  With ``img.p`` set (the flux split) it also holds
-    ``grad_u = gradient(u)``, ``p``, ``lam_p`` and ``gap_p = p - grad_u``;
-    their four field terms become scalars here, in ``flux``: TV(u),
-    ``sum |p|``, ``<lam_p, gap_p>`` and ``||gap_p||^2``."""
+    ``grad_u = gradient(u)``, ``p``, ``lam_p``, ``gap_p = p - grad_u`` and
+    ``p_sum``, the p-step's ``sum |p|``; their four field terms become
+    scalars here, in ``flux``: TV(u), ``sum |p|``, ``<lam_p, gap_p>`` and
+    ``||gap_p||^2``."""
     d = SimpleNamespace(**{k: getattr(img, k) for k in ("u", "v", "w", "lam_w", "f", "gap", "log_w")}, flux=None)
     if img.p is not None:
         d.flux = (
             float(magnitude(img.grad_u).sum()),
-            float(magnitude(img.p).sum()),
+            float(img.p_sum),
             dot(img.lam_p, img.gap_p),
             dot(img.gap_p, img.gap_p),
         )
@@ -414,7 +415,8 @@ def _bilinear_solve(f, cfg: SolverConfig, truth, init, step):
     in place on the solve's namespace ``s``.  Next to the state, ``s`` holds
     ``f``, ``lambda1_f = lambda1 * f``, the gap ``v .* w - u`` that the
     multiplier step writes, ``log_w = ln(w)``, and with a gradient split
-    (``p``) also ``grad_u`` and its gap ``gap_p = p - grad_u``.  The
+    (``p``) also ``grad_u``, its gap ``gap_p = p - grad_u`` and ``p_sum``,
+    the p-step's ``sum |p|`` per image.  The
     bilinear block swaps ``gap`` with ``spare_gap`` before its multiplier
     step, so a step never writes the gap that the previous iteration's
     record reads (on the helper path, while the step runs).  ``cfg.alpha``
@@ -605,6 +607,7 @@ def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     flux = np.multiply(state.p, cfg.alpha_p)
     flux += state.lam_p
     rhs -= divergence(flux, out=work)
+    del work, flux  # not held through the solve's own temporaries
     return solve_screened_poisson(rhs, cfg.alpha_w, cfg.alpha_p)
 
 
@@ -616,9 +619,15 @@ def bcaf_p_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray | None
     """
     if grad_u is None:
         grad_u = gradient(state.u)
+    return _bcaf_shrink(state, cfg, grad_u)[0]
+
+
+def _bcaf_shrink(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray):
+    """:func:`bcaf_p_step`'s ``p``, and ``sum |p|`` per image from the
+    shrinkage's own lengths."""
     q = np.divide(state.lam_p, cfg.alpha_p)
     np.subtract(grad_u, q, out=q)
-    return soft_threshold(q, 1.0 / cfg.alpha_p, out=q)
+    return _shrink(q, 1.0 / cfg.alpha_p, out=q)
 
 
 def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray, gap_p=None) -> np.ndarray:
@@ -641,7 +650,7 @@ def _bcaf_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
     then ``bca``'s bilinear block, which reads neither ``p`` nor ``lam_p``."""
     s.u = bcaf_u_step(s, s.f, cfg)
     gradient(s.u, out=s.grad_u)
-    s.p = bcaf_p_step(s, cfg, s.grad_u)
+    s.p, s.p_sum = _bcaf_shrink(s, cfg, s.grad_u)
     s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap_p)
     _bilinear_block(s, k, cfg)
 

@@ -633,30 +633,41 @@ BCAF_SPEC = """\
     max_iters = 3
 """
 
-# run_bench on two pretended cores, reporting whether scipy.fft was loaded
-# when each process pool started and once the grid was done
+# run_bench on two pretended cores, printing the scipy modules loaded when
+# the process pool started and once the grid was done; each worker appends
+# the ones it has loaded to the status of the rows it returns
 FORKED_BENCH = """\
 import sys
 import mpgdenoise.bench as bench
-seen, real = [], bench.ProcessPoolExecutor
+pools, real_pool, real_cells = [], bench.ProcessPoolExecutor, bench._run_cells
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith('scipy'))
 
 def spy(max_workers, **kwargs):
-    seen.append('scipy.fft' in sys.modules)
-    return real(max_workers=max_workers, **kwargs)
+    pools.append(scipy_modules())
+    return real_pool(max_workers=max_workers, **kwargs)
+
+def cells(*args):
+    rows = real_cells(*args)
+    for row in rows:
+        row['status'] += ''.join(' ' + m for m in scipy_modules())
+    return rows
 
 bench._usable_cores = lambda: 2
 bench.ProcessPoolExecutor = spy
+bench._run_cells = cells
 bench.run_bench(bench.load_experiment(sys.argv[1]), threads=2)
-print(seen, 'scipy.fft' in sys.modules)
+print(pools, scipy_modules())
 """
 
 
-@pytest.mark.parametrize("with_bcaf, expected", [(True, "[True] True"), (False, "[False] False")])
-def test_forked_workers_inherit_the_dct_import(tmp_path, fresh_python, with_bcaf, expected):
-    """With a bcaf section the caller imports scipy.fft before it forks, so
-    the workers do not each import it; without one, nobody does."""
-    body = BCAF_SPEC + ("\n    [solver.bcaf]\n    method = bcaf\n    max_iters = 3\n" if with_bcaf else "")
+def test_forked_bcaf_grid_loads_no_scipy(tmp_path, fresh_python):
+    """A grid with a bcaf section on forked workers: neither the caller nor
+    a worker loads scipy."""
+    body = BCAF_SPEC + "\n    [solver.bcaf]\n    method = bcaf\n    max_iters = 3\n"
     spec = write_spec(tmp_path, body.format(out=tmp_path / "out"))
-    assert fresh_python(FORKED_BENCH, spec) == expected
+    assert fresh_python(FORKED_BENCH, spec) == "[[]] []"
     rows = read_rows(tmp_path / "out" / "results.csv")
-    assert all(r["status"].startswith("ok") for r in rows)
+    assert {r["solver"] for r in rows} == {"tvl2", "bcaf"}
+    assert all(r["status"].startswith("ok") and "scipy" not in r["status"] for r in rows)
