@@ -48,8 +48,8 @@ BLOCK_PIXELS = 2**17
 def _usable_cores() -> int:
     """Cores this process may run on (CPU affinity and cpusets respected).
 
-    The one rule for using a second core: the solvers' trace helper, the TV
-    sweeps, the float-text halves and the bench's worker count all read it.
+    The one rule for using a second core: the TV sweeps, the float-text
+    halves and the bench's worker count read it.
     """
     try:
         return len(os.sched_getaffinity(0))

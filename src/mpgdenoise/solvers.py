@@ -34,13 +34,16 @@ explicit ``SolverConfig.chambolle`` sets the depth of every method.
 
 Each solver supplies only its outer iteration (calling the step functions
 below) and its diagnostics to one driver, ``_run``, which owns the loop, the
-clock, the :class:`TraceRecord` lists and the one stop rule: the relative
-step ``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or ``max_iters`` outer
-iterations are done.  ``bca`` and ``bcaf`` share their set-up and
-diagnostics, ``_bilinear_solve``, and the bilinear block that ends each of
-their steps: the v-, w- and multiplier updates on ``v .* w = u``, at
-penalty ``cfg.alpha``.  They differ only in their initial state and their
-image update; ``bcaf_solve`` runs the whole solve at ``alpha = alpha_w``.
+clock, the :class:`TraceRecord` lists (each record taken on the calling
+thread right after its step) and the one stop rule: the relative step
+``||u_k+1 - u_k|| / ||u_k||`` falls to ``xi``, or ``max_iters`` outer
+iterations are done.  A relative step that is not finite (the iterate, or
+its norm, overflowed) raises :class:`DomainError` at once.  ``bca`` and
+``bcaf`` share their set-up and diagnostics, ``_bilinear_solve``, and the
+bilinear block that ends each of their steps: the v-, w- and multiplier
+updates on ``v .* w = u``, at penalty ``cfg.alpha``.  They differ only in
+their initial state and their image update; ``bcaf_solve`` runs the whole
+solve at ``alpha = alpha_w``.
 
 Every solver also takes a stack ``(B, H, W)`` of same-shape observations and
 runs them as one solve: each subproblem is pointwise, a finite-difference
@@ -53,38 +56,11 @@ Each solve keeps its iterates and work arrays in one namespace, which has
 the attributes of a :class:`SolverState` and goes to the step functions in
 its place.
 
-Every record is taken the same way: at the end of its iteration its columns
-are submitted, and it is collected after the next step.  Its ``seconds`` is
-the wall time since the solve started, read on the calling thread at the end
-of its iteration, with each iteration's time split evenly among the images
-then in the stack.  A single-image ``bca``/``bcaf`` solve of at least
-``HELPER_PIXELS`` pixels, on two or more usable cores, submits the columns
-to one helper thread, so they are computed while the next step runs and the
-trace leaves the critical path of these cheap iterations; everywhere else
-they are computed at once, on the calling thread.  The main thread still
-takes ``se`` and decides the stop, so the iterates, the stop iteration and
-every trace column are those of the serial path.  The flux split's field
-terms (TV(u), ``sum |p|``, ``<lam_p, p - grad u>``, ``||p - grad u||^2``)
-are reduced to scalars on the main thread, so the helper holds none of its
-vector fields.  Smaller images (two threads issuing small numpy calls pass
-the interpreter lock back and forth), one core, a stack (which records only
-final records) and the baselines (whose ten TV dual steps per iteration
-dwarf the trace) keep the serial path.  The helper is joined before the
-solve returns or raises.  A relative step that is not finite (the iterate,
-or its norm, overflowed) raises :class:`DomainError` at once.
-
-Within one outer iteration of a bilinear solver each full-size quantity is
-formed once and shared with the trace diagnostics.  The multiplier steps
-write the constraint gap ``v .* w - u`` (and for ``bcaf`` also
-``p - grad u``) into arrays that the diagnostics read; ``v .* w - u``
-alternates between two buffers, so that a step never writes the one the
-previous record reads.  ``bcaf`` takes
-``grad u`` once for its p-step, multiplier step and diagnostics.  The
-diagnostics take the checked ``ln(w)``, and the next v-step reuses it;
-``lambda1 * f`` is formed once per solve; the objective and the Lagrangian
-share ``||f - v||^2`` and TV(u).  The diagnostics read all of these from
-the solve's namespace; the step functions take them as optional arguments
-and form them themselves when called alone.
+Within one outer iteration of a bilinear solver each full-size quantity
+(the constraint gaps, ``grad u``, ``ln(w)``) is formed once, kept in the
+solve's namespace (see ``_bilinear_solve``) and shared by the steps and the
+trace diagnostics; the step functions take them as optional arguments and
+form them themselves when called alone.
 
 A known identity of the bilinear split: after every multiplier update,
 ``Lambda .* w = lambda2`` holds exactly (the w update picks the positive
@@ -104,11 +80,9 @@ a run observed.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -117,7 +91,7 @@ import numpy as np
 from .chambolle import ChambolleConfig, _shrink, tv_l2_denoise, tv_l2_energy
 from .grid import (
     DomainError,
-    _usable_cores,
+    ShapeMismatchError,
     as_images,
     divergence,
     dot,
@@ -199,9 +173,7 @@ class TraceRecord:
     bilinear solvers and are ``None`` for the baselines, as is ``snr`` when
     no ground truth was supplied.  ``seconds`` is wall time since the solve
     started, I/O excluded, read at the end of the record's iteration, with
-    each iteration's time split evenly among the images then in the stack
-    (see the module docstring); on the helper path it is when the iterate
-    was handed to the helper.
+    each iteration's time split evenly among the images then in the stack.
     """
 
     iter: int
@@ -246,158 +218,99 @@ def _keep(s: SimpleNamespace, idx: list[int]) -> None:
             setattr(s, k, v[idx])
 
 
-# single images from this many pixels up take their trace on a helper thread
-# (on 2 cores the two paths break even near 160x160; below, the threads'
-# small numpy calls pass the interpreter lock back and forth)
-HELPER_PIXELS = 2**15
-
-
-def _columns(err: dict, img: SimpleNamespace, diagnose, truth, b: int):
+def _columns(img: SimpleNamespace, diagnose, truth):
     """Trace columns objective through snr of one image's arrays ``img``,
-    input ``b`` of the solve, taken under the numpy error state ``err``.
-    The SNR is ``None`` without a truth or where ``u`` is identically zero.
-    (A thread starts from the default error state on numpy 1.x, not from its
-    caller's; and a function of its own, so that no view of this iteration's
-    arrays outlives the call and holds them through a later step.)"""
-    with np.errstate(**err):
-        snr_b = None if truth is None else snr_or_none(img.u, truth if truth.ndim == 2 else truth[b])
-        return (*diagnose(img), snr_b)
+    with ``truth`` its clean image or ``None``.  The SNR is ``None`` without
+    a truth or where ``u`` is identically zero."""
+    return (*diagnose(img), None if truth is None else snr_or_none(img.u, truth))
 
 
-def _at_once(fn, *args) -> Future:
-    """``fn(*args)``, run on this thread, as a finished future."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
-
-
-def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool, handoff=None):
+def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: bool):
     """Outer loop of every solver, over a stack of one or more images.
 
     ``s`` holds every array of the solve with the images on the leading axis,
     ``s.u`` the current stack ``(B, H, W)``; ``step(s, k)`` runs iteration
     ``k`` on it in place, replacing ``s.u``, and ``diagnose(img)`` returns
     the trace columns objective through constraint_residual from one image's
-    arrays (:func:`_image`), or from ``handoff(img)`` when ``handoff`` is
-    given.  ``truth`` is one image, which applies to every image, or a stack
-    of them.
+    arrays (:func:`_image`).  ``truth`` is one image, which applies to every
+    image, or, for a stack, a stack of them; any other shape raises
+    :class:`ShapeMismatchError` before the first step.
 
     Each image stops on its own relative step and leaves the stack then.  For
     ``solo`` (a single-image input) the result is ``(u, trace)`` with a record
     per iteration; otherwise ``(u, traces)``, the stack of outputs and one
-    list per image holding its final record only.  Either way a record's
-    columns are submitted at the end of its iteration and collected after the
-    next step, and its ``seconds`` is the image's even share of each
-    iteration's wall time, summed up to the end of the record's iteration.
-    A relative step that is not finite raises :class:`DomainError`.
-
-    ``handoff``, which only the bilinear solvers give, runs on this thread
-    and returns what ``diagnose`` reads, holding no array that the next step
-    writes.  A solo input of at least ``HELPER_PIXELS`` pixels on two or more
-    usable cores then runs ``diagnose`` (and the SNR) on one helper thread,
-    one iteration behind, under this thread's numpy error state; at most one
-    record is outstanding, and the helper is joined before this returns or
-    raises.
+    list per image holding its final record only.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=np.float64)
-    prepare = handoff or (lambda img: img)
-    behind = handoff is not None and solo and s.u.size >= HELPER_PIXELS and _usable_cores() >= 2
-    err = dict(np.geterr(), call=np.geterrcall())
+        shapes = [s.u.shape[1:]] if solo else [s.u.shape[1:], s.u.shape]
+        if truth.shape not in shapes:
+            raise ShapeMismatchError(f"truth has shape {truth.shape}, expected {' or '.join(map(str, shapes))}")
     n = len(s.u)
+    truths = [None] * n if truth is None else np.broadcast_to(truth, s.u.shape)
     active = list(range(n))  # the input position of each image left in s
     outs = [None] * n
     traces = [[] for _ in range(n)]
     seconds = [0.0] * n
-    pending = []  # (input position, k, se, seconds, future of the columns) of records not yet collected
-    with ThreadPoolExecutor(max_workers=1) if behind else contextlib.nullcontext() as helper:
-        submit = helper.submit if behind else _at_once
-        tick = time.perf_counter()
-        for k in range(1, cfg.max_iters + 1):
-            u_prev = s.u
-            step(s, k)
-            se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
-            if not all(map(math.isfinite, se)):
-                raise DomainError(f"iteration {k}: the relative step is not finite; the iterate or its norm overflowed")
-            for b, k_b, se_b, seconds_b, columns in pending:
-                traces[b].append(TraceRecord(k_b, se_b, *columns.result(), seconds=seconds_b))
-            done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
-            submitted = [
-                (i, submit(_columns, err, prepare(_image(s, i)), diagnose, truth, active[i]))
-                for i in (range(len(active)) if solo else done)
-            ]
-            now = time.perf_counter()
-            share = (now - tick) / len(active)
-            tick = now
-            for b in active:
-                seconds[b] += share
-            pending = [(active[i], k, se[i], seconds[active[i]], columns) for i, columns in submitted]
-            if done:
-                for i in done:
-                    outs[active[i]] = s.u[i]
-                keep = [i for i in range(len(active)) if i not in done]
-                if not keep:
-                    break
-                _keep(s, keep)
-                active = [active[i] for i in keep]
-        for b, k_b, se_b, seconds_b, columns in pending:
-            traces[b].append(TraceRecord(k_b, se_b, *columns.result(), seconds=seconds_b))
+    tick = time.perf_counter()
+    for k in range(1, cfg.max_iters + 1):
+        u_prev = s.u
+        step(s, k)
+        se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
+        if not all(map(math.isfinite, se)):
+            raise DomainError(f"iteration {k}: the relative step is not finite; the iterate or its norm overflowed")
+        done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
+        recorded = range(len(active)) if solo else done
+        columns = [(i, _columns(_image(s, i), diagnose, truths[active[i]])) for i in recorded]
+        now = time.perf_counter()  # after the diagnostics: a record's seconds include its own
+        share = (now - tick) / len(active)
+        tick = now
+        for b in active:
+            seconds[b] += share
+        for i, cols in columns:
+            traces[active[i]].append(TraceRecord(k, se[i], *cols, seconds=seconds[active[i]]))
+        if done:
+            for i in done:
+                outs[active[i]] = s.u[i]
+            keep = [i for i in range(len(active)) if i not in done]
+            if not keep:
+                break
+            _keep(s, keep)
+            active = [active[i] for i in keep]
     if solo:
         return outs[0], traces[0]
     return np.stack(outs), traces
 
 
-def _bilinear_handoff(img: SimpleNamespace) -> SimpleNamespace:
-    """What :func:`_bilinear_diagnostics` reads of the iterate in ``img``.
+def _bilinear_diagnostics(img: SimpleNamespace, cfg: SolverConfig):
+    """Trace columns of the bilinear-split iterate in one image's arrays
+    ``img`` (:func:`_image`) of the namespace of :func:`_bilinear_solve`.
 
-    ``img`` holds the iterate (``u``, ``v``, ``w``, ``lam_w``), the
-    observation ``f`` and the arrays the iteration already formed from that
-    iterate: ``gap = v .* w - u`` (from the multiplier step) and
-    ``log_w = ln(w)``.  With ``img.p`` set (the flux split) it also holds
-    ``grad_u = gradient(u)``, ``p``, ``lam_p``, ``gap_p = p - grad_u`` and
-    ``p_sum``, the p-step's ``sum |p|``; their four field terms become
-    scalars here, in ``flux``: TV(u), ``sum |p|``, ``<lam_p, gap_p>`` and
-    ``||gap_p||^2``."""
-    d = SimpleNamespace(**{k: getattr(img, k) for k in ("u", "v", "w", "lam_w", "f", "gap", "log_w")}, flux=None)
-    if img.p is not None:
-        d.flux = (
-            float(magnitude(img.grad_u).sum()),
-            float(img.p_sum),
-            dot(img.lam_p, img.gap_p),
-            dot(img.gap_p, img.gap_p),
-        )
-    return d
-
-
-def _bilinear_diagnostics(d: SimpleNamespace, cfg: SolverConfig):
-    """Trace columns of a bilinear-split iterate, from what
-    :func:`_bilinear_handoff` took of it.
-
-    With ``d.flux`` set the Lagrangian is the flux-split one.  TV(u) is taken
+    With ``img.p`` set the Lagrangian is the flux-split one.  TV(u) is taken
     once and shared by the objective and the Lagrangian, and so are
     ``||v .* w - u||^2`` by the Lagrangian and the constraint residual, and
     ``||f - v||^2`` by the objective and the Lagrangian."""
-    u, v, w, f, gap = d.u, d.v, d.w, d.f, d.gap
-    if d.flux is None:
+    u, v, w, f, gap = img.u, img.v, img.w, img.f, img.gap
+    if img.p is None:
         tv = p_term = total_variation(u)
     else:
-        tv, p_term, lam_gap_p, gap_p_sq = d.flux
+        tv, p_term = float(magnitude(img.grad_u).sum()), float(img.p_sum)
     gap_sq = dot(gap, gap)
     work = f - v
     resid_sq = dot(work, work)
-    np.multiply(d.log_w, v, out=work)  # becomes u - v log w - v
+    np.multiply(img.log_w, v, out=work)  # becomes u - v log w - v
     np.subtract(u, work, out=work)
     work -= v
     lagrangian = (
         0.5 * cfg.lambda1 * resid_sq
         + cfg.lambda2 * float(work.sum())
         + p_term
-        + dot(d.lam_w, gap)
+        + dot(img.lam_w, gap)
         + 0.5 * cfg.alpha * gap_sq
     )
-    if d.flux is not None:
-        lagrangian += lam_gap_p + 0.5 * cfg.alpha_p * gap_p_sq
-    np.multiply(d.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
+    if img.p is not None:
+        lagrangian += dot(img.lam_p, img.gap_p) + 0.5 * cfg.alpha_p * dot(img.gap_p, img.gap_p)
+    np.multiply(img.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
     work -= cfg.lambda2
     u_norm = math.sqrt(dot(u, u))
     return (
@@ -416,20 +329,13 @@ def _bilinear_solve(f, cfg: SolverConfig, truth, init, step):
     ``f``, ``lambda1_f = lambda1 * f``, the gap ``v .* w - u`` that the
     multiplier step writes, ``log_w = ln(w)``, and with a gradient split
     (``p``) also ``grad_u``, its gap ``gap_p = p - grad_u`` and ``p_sum``,
-    the p-step's ``sum |p|`` per image.  The
-    bilinear block swaps ``gap`` with ``spare_gap`` before its multiplier
-    step, so a step never writes the gap that the previous iteration's
-    record reads (on the helper path, while the step runs).  ``cfg.alpha``
-    is the penalty of that block."""
+    the p-step's ``sum |p|`` per image.  ``cfg.alpha`` is the penalty of
+    the bilinear block."""
     f, solo = _as_stack(f)
-    s = SimpleNamespace(
-        **vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), spare_gap=np.empty_like(f), log_w=None
-    )
+    s = SimpleNamespace(**vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), log_w=None)
     if s.p is not None:
         s.grad_u, s.gap_p = np.empty_like(s.p), np.empty_like(s.p)
-    return _run(
-        cfg, truth, s, lambda s, k: step(s, k, cfg), lambda d: _bilinear_diagnostics(d, cfg), solo, _bilinear_handoff
-    )
+    return _run(cfg, truth, s, lambda s, k: step(s, k, cfg), lambda img: _bilinear_diagnostics(img, cfg), solo)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +462,6 @@ def _bilinear_block(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
     s.v = bca_v_step(s, s.f, cfg, s.log_w, s.lambda1_f)
     s.w = bca_w_step(s, cfg)
     s.log_w = ln(s.w)  # read by the diagnostics, reused by the next v-step
-    s.gap, s.spare_gap = s.spare_gap, s.gap
     s.lam_w = bca_multiplier_step(s, cfg, s.gap)
     s.iters = k
 

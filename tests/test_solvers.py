@@ -9,7 +9,10 @@ system they claim to solve.
 
 import dataclasses
 import hashlib
+import itertools
 import math
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ import mpgdenoise.chambolle
 import mpgdenoise.grid
 import mpgdenoise.solvers as solvers
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
-from mpgdenoise.grid import DomainError, gradient, laplacian, ln, magnitude
+from mpgdenoise.grid import DomainError, ShapeMismatchError, gradient, laplacian, ln, magnitude
 from mpgdenoise.methods import METHODS, run_method
 from mpgdenoise.metrics import snr
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
@@ -570,7 +573,7 @@ def test_diagnostics_match_textbook_formulas(method, step, monkeypatch):
     def checked(s, k, solve_cfg):
         real_step(s, k, solve_cfg)
         img = solvers._image(s, 0)
-        got = solvers._bilinear_diagnostics(solvers._bilinear_handoff(img), solve_cfg)
+        got = solvers._bilinear_diagnostics(img, solve_cfg)
         want = textbook_diagnostics(img, f, cfg)
         assert all(type(x) is float for x in got)
         names = ("objective", "lagrangian", "min_w", "identity", "constraint")
@@ -596,6 +599,140 @@ def test_trace_columns_are_python_floats(solve):
                      "constraint_residual", "snr", "seconds"):
             value = getattr(rec, name)
             assert value is None or type(value) is float, (name, type(value))
+
+
+# ---------------------------------------------------------------------------
+# the solver loop: one thread, the caller's error state, one clock
+
+
+def loop_input(size=32, seed=1):
+    truth = make_phantom("circles", size, size)
+    return np.maximum(corrupt(truth, NoiseSpec(eta=4.0, sigma=1e-4, seed=seed)), 0.0), truth
+
+
+LOOP_CFG = SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5)
+
+
+@pytest.mark.parametrize("method", ["bca", "bcaf"])
+def test_a_large_bilinear_solve_starts_no_thread(method, monkeypatch):
+    """With two usable cores a 192x192 solve still takes every record on the
+    calling thread."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        return real_start(thread)
+
+    monkeypatch.setattr(mpgdenoise.grid, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    f, truth = loop_input(192)
+    _, trace = run_method(method, f, LOOP_CFG, truth)
+    assert len(trace) == LOOP_CFG.max_iters and started == []
+
+
+@pytest.mark.parametrize("method", ["bca", "bcaf"])
+@pytest.mark.parametrize("fail_at", [1, 3, 5])
+def test_exception_in_the_diagnostics_reaches_the_caller(method, fail_at, monkeypatch):
+    real = solvers._bilinear_diagnostics
+    calls = []
+
+    def failing(img, cfg):
+        calls.append(None)
+        if len(calls) == fail_at:
+            raise FloatingPointError("diagnostics failed")
+        return real(img, cfg)
+
+    monkeypatch.setattr(solvers, "_bilinear_diagnostics", failing)
+    with pytest.raises(FloatingPointError, match="diagnostics failed"):
+        run_method(method, loop_input()[0], LOOP_CFG)
+    assert len(calls) == fail_at
+
+
+# bcaf runs bca's bilinear block, so both reach the w-step by bca's name
+@pytest.mark.parametrize("method, step", [("bca", "bca_w_step"), ("bcaf", "bca_w_step")])
+def test_exception_in_a_step_reaches_the_caller(method, step, monkeypatch):
+    real = getattr(solvers, step)
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise DomainError("step failed")
+        return real(*args)
+
+    monkeypatch.setattr(solvers, step, failing)
+    f, truth = loop_input()
+    with pytest.raises(DomainError, match="step failed"):
+        run_method(method, f, LOOP_CFG, truth)
+    assert len(calls) == 3
+
+
+def test_diagnostics_run_under_the_callers_numpy_error_state(monkeypatch):
+    real = solvers._bilinear_diagnostics
+    seen = []
+
+    def recording(img, cfg):
+        seen.append(np.geterr()["divide"])
+        return real(img, cfg)
+
+    monkeypatch.setattr(solvers, "_bilinear_diagnostics", recording)
+    with np.errstate(divide="raise"):
+        run_method("bca", loop_input()[0], LOOP_CFG)
+    assert seen == ["raise"] * LOOP_CFG.max_iters
+
+
+@pytest.mark.parametrize("method", ["bca", "bcaf", "tvl2", "tvkl"])
+def test_seconds_has_one_meaning_solo_and_stacked(method, monkeypatch):
+    """Under a clock whose reads return 0, 1, 2, ... a record's ``seconds``
+    is the number of iterations done: the clock is read once per iteration,
+    on the calling thread, whether the image is solved alone or as a stack
+    of one."""
+    readers = []
+
+    def counting_clock():
+        ticks = itertools.count()
+
+        def perf_counter():
+            readers.append(threading.current_thread() is threading.main_thread())
+            return float(next(ticks))
+
+        return SimpleNamespace(perf_counter=perf_counter)
+
+    f, truth = loop_input()
+    monkeypatch.setattr(solvers, "time", counting_clock())
+    _, trace = run_method(method, f, LOOP_CFG, truth)
+    monkeypatch.setattr(solvers, "time", counting_clock())
+    _, traces = run_method(method, f[None], LOOP_CFG, truth)
+    assert [r.seconds for r in trace] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert traces[0][-1].seconds == trace[-1].seconds
+    assert readers and all(readers)
+
+
+# the step each method runs first in an iteration, by its name in solvers
+FIRST_STEP = {"bca": "bca_u_step", "bcaf": "bcaf_u_step", "tvl2": "tv_l2_denoise", "tvkl": "tv_l2_denoise"}
+
+
+@pytest.mark.parametrize("method", sorted(FIRST_STEP))
+@pytest.mark.parametrize("f_shape, truth_shape", [
+    ((3, 16, 16), (2, 16, 16)),  # a truth stack shorter than the input stack
+    ((3, 16, 16), (4, 16, 16)),  # and one longer
+    ((16, 16), (2, 16, 16)),     # a truth stack for a single image
+    ((3, 16, 16), (16, 15)),     # one truth image of another shape
+], ids=["short-truth-stack", "long-truth-stack", "truth-stack-for-one-image", "other-image-shape"])
+def test_truth_of_the_wrong_shape_raises_before_the_first_step(method, f_shape, truth_shape, monkeypatch):
+    steps = []
+    real = getattr(solvers, FIRST_STEP[method])
+
+    def counting(*args):
+        steps.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, FIRST_STEP[method], counting)
+    f = np.random.default_rng(0).random(f_shape)
+    with pytest.raises(ShapeMismatchError, match="truth has shape"):
+        run_method(method, f, LOOP_CFG, np.ones(truth_shape))
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------
@@ -939,9 +1076,8 @@ def test_each_split_reads_only_its_own_penalty(method, unread, read):
      "5edb88eb23e8e4c546952524c376bb7067158774d7ffcfd7967aab200bb4ba69"),
 ])
 def test_large_single_image_bytes_are_pinned(method, u_digest, trace_digest):
-    """At 192x192 a single image takes its trace on a helper thread when two
-    cores are usable and on the main thread when one is; both paths keep
-    these bytes (CI runs this file under both)."""
+    """A 192x192 single image keeps these bytes on one usable core and on
+    two (CI runs this file under both)."""
     truth = make_phantom("circles", 192, 192)
     f = corrupt(truth, NoiseSpec(eta=4.0, sigma=1e-4, seed=1))
     u, trace = run_method(method, f, SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=12), truth)
