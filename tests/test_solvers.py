@@ -9,10 +9,8 @@ system they claim to solve.
 
 import dataclasses
 import hashlib
-import itertools
 import math
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -602,7 +600,7 @@ def test_trace_columns_are_python_floats(solve):
 
 
 # ---------------------------------------------------------------------------
-# the solver loop: one thread, the caller's error state, one clock
+# the solver loop: one thread, the caller's error state
 
 
 def loop_input(size=32, seed=1):
@@ -680,33 +678,6 @@ def test_diagnostics_run_under_the_callers_numpy_error_state(monkeypatch):
     with np.errstate(divide="raise"):
         run_method("bca", loop_input()[0], LOOP_CFG)
     assert seen == ["raise"] * LOOP_CFG.max_iters
-
-
-@pytest.mark.parametrize("method", ["bca", "bcaf", "tvl2", "tvkl"])
-def test_seconds_has_one_meaning_solo_and_stacked(method, monkeypatch):
-    """Under a clock whose reads return 0, 1, 2, ... a record's ``seconds``
-    is the number of iterations done: the clock is read once per iteration,
-    on the calling thread, whether the image is solved alone or as a stack
-    of one."""
-    readers = []
-
-    def counting_clock():
-        ticks = itertools.count()
-
-        def perf_counter():
-            readers.append(threading.current_thread() is threading.main_thread())
-            return float(next(ticks))
-
-        return SimpleNamespace(perf_counter=perf_counter)
-
-    f, truth = loop_input()
-    monkeypatch.setattr(solvers, "time", counting_clock())
-    _, trace = run_method(method, f, LOOP_CFG, truth)
-    monkeypatch.setattr(solvers, "time", counting_clock())
-    _, traces = run_method(method, f[None], LOOP_CFG, truth)
-    assert [r.seconds for r in trace] == [1.0, 2.0, 3.0, 4.0, 5.0]
-    assert traces[0][-1].seconds == trace[-1].seconds
-    assert readers and all(readers)
 
 
 # the step each method runs first in an iteration, by its name in solvers
