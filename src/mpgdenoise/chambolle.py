@@ -231,18 +231,10 @@ def soft_threshold(q, eta, out=None):
     The result goes into a new array, or into ``out`` when given (which may
     be ``q`` itself).
     """
-    return _shrink(q, eta, out)[0]
-
-
-def _shrink(q, eta, out=None):
-    """:func:`soft_threshold` of ``q``, and the sum over each image of the
-    shrunk lengths ``max(0, |q| - eta)``: the result's ``sum |p|``, up to
-    rounding, without taking its magnitude again."""
     if eta < 0.0:
         raise DomainError("shrinkage threshold must be nonnegative")
     mag = magnitude(q)
     scl = mag - eta
     np.maximum(0.0, scl, out=scl)
-    lengths = scl.sum(axis=(-2, -1))
     scl /= np.where(mag > 0.0, mag, 1.0)
-    return np.multiply(q, scl[..., None, :, :], out=out), lengths
+    return np.multiply(q, scl[..., None, :, :], out=out)

@@ -24,7 +24,11 @@ a TV-L2 proximal step or a pointwise closed form:
 * ``bcaf_solve`` additionally splits the image gradient (``p = grad u``), so
   its image update becomes a screened Poisson system solved exactly by one
   2-D cosine transform, with no inner iterations, and the TV term reduces to
-  pointwise vector shrinkage.
+  pointwise vector shrinkage.  The solve runs that split in its primal-dual
+  form (Esser, Zhang & Chan, SIAM J. Imaging Sci. 2010): the shrinkage and
+  the multiplier ascent on ``p = grad u`` together project the multiplier
+  ``lam_p`` onto the unit ball, so the solve holds ``lam_p`` and the flux
+  ``alpha_p p + lam_p`` that the next image update reads, and no ``p``.
 
 Two single-fidelity baselines with the same trace interface are included:
 ``tv_l2_solve`` (quadratic fidelity) and ``tv_kl_solve`` (Poisson fidelity
@@ -53,14 +57,16 @@ and gets the ``u`` bytes, iteration count and final record (``seconds``
 aside) of its own solve.  A stack's trace holds only each image's final
 record: per-iteration diagnostics would cost more than the stacking saves.
 Each solve keeps its iterates and work arrays in one namespace, which has
-the attributes of a :class:`SolverState` and goes to the step functions in
-its place.
+the attributes of a :class:`SolverState` (``bcaf``'s a flux field in place
+of ``p``) and goes to the step functions in its place.
 
 Within one outer iteration of a bilinear solver each full-size quantity
-(the constraint gaps, ``grad u``, ``ln(w)``) is formed once, kept in the
-solve's namespace (see ``_bilinear_solve``) and shared by the steps and the
-trace diagnostics; the step functions take them as optional arguments and
-form them themselves when called alone.
+(the bilinear constraint gap, ``grad u``, ``ln(w)``) is formed once and
+shared by the steps and the trace diagnostics: ``bcaf`` takes TV(u) and
+``sum |p|`` from the ``grad u`` and the projection of its own step, and the
+gap ``p - grad u`` from its two multipliers (see ``_bilinear_solve``).  The
+step functions take such quantities as optional arguments and form them
+themselves when called alone.
 
 A known identity of the bilinear split: after every multiplier update,
 ``Lambda .* w = lambda2`` holds exactly (the w update picks the positive
@@ -88,7 +94,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .chambolle import ChambolleConfig, _shrink, tv_l2_denoise, tv_l2_energy
+from .chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
 from .grid import (
     DomainError,
     ShapeMismatchError,
@@ -147,9 +153,11 @@ class SolverState:
     """Iterates of one ADMM run.
 
     ``lam_w`` is the multiplier of the bilinear constraint ``v .* w = u``;
-    ``p``/``lam_p`` exist only in the flux-split variant; ``dual`` carries
-    the warm-started TV dual field between image updates; ``iters`` counts
-    completed outer iterations.
+    ``p``/``lam_p`` exist only in the flux-split variant, whose step
+    functions read them (``bcaf_solve`` itself starts from them and then
+    carries ``lam_p`` and the flux ``alpha_p p + lam_p`` instead); ``dual``
+    carries the warm-started TV dual field between image updates; ``iters``
+    counts completed outer iterations.
     """
 
     u: np.ndarray
@@ -194,9 +202,11 @@ def alpha_lower_bound(lambda2: float, c: float, epsilon: float) -> float:
     return max(np.sqrt(2.0) * lambda2 / (c * c * epsilon), lambda2 * (1.0 / c - 1.0) ** 2)
 
 
-def _rel_norm(num: np.ndarray, ref: np.ndarray) -> float:
-    den = math.sqrt(dot(ref, ref))
-    return math.sqrt(dot(num, num)) / (den if den > 0.0 else 1.0)
+def _rel_step(step: np.ndarray, prev_sq: float) -> float:
+    """``||step|| / ||u||``, with ``prev_sq = ||u||^2`` (1 in its place where
+    ``u`` is zero)."""
+    den = math.sqrt(prev_sq)
+    return math.sqrt(dot(step, step)) / (den if den > 0.0 else 1.0)
 
 
 def _as_stack(f):
@@ -232,7 +242,9 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
     ``s.u`` the current stack ``(B, H, W)``; ``step(s, k)`` runs iteration
     ``k`` on it in place, replacing ``s.u``, and ``diagnose(img)`` returns
     the trace columns objective through constraint_residual from one image's
-    arrays (:func:`_image`).  ``truth`` is one image, which applies to every
+    arrays (:func:`_image`).  ``s.u_sq`` holds each image's ``||u||^2``,
+    taken once per iterate, right after its step: the next relative step
+    and the diagnostics read it.  ``truth`` is one image, which applies to every
     image, or, for a stack, a stack of them; any other shape raises
     :class:`ShapeMismatchError` before the first step.
 
@@ -253,10 +265,12 @@ def _run(cfg: SolverConfig, truth, s: SimpleNamespace, step, diagnose, solo: boo
     traces = [[] for _ in range(n)]
     seconds = [0.0] * n
     tick = time.perf_counter()
+    s.u_sq = np.array([dot(b, b) for b in s.u])
     for k in range(1, cfg.max_iters + 1):
-        u_prev = s.u
+        u_prev, prev_sq = s.u, s.u_sq
         step(s, k)
-        se = [_rel_norm(step_b, prev_b) for step_b, prev_b in zip(s.u - u_prev, u_prev)]
+        s.u_sq = np.array([dot(b, b) for b in s.u])
+        se = [_rel_step(step_b, sq) for step_b, sq in zip(s.u - u_prev, prev_sq)]
         if not all(map(math.isfinite, se)):
             raise DomainError(f"iteration {k}: the relative step is not finite; the iterate or its norm overflowed")
         done = [i for i, e in enumerate(se) if e <= cfg.xi or k == cfg.max_iters]
@@ -286,15 +300,20 @@ def _bilinear_diagnostics(img: SimpleNamespace, cfg: SolverConfig):
     """Trace columns of the bilinear-split iterate in one image's arrays
     ``img`` (:func:`_image`) of the namespace of :func:`_bilinear_solve`.
 
-    With ``img.p`` set the Lagrangian is the flux-split one.  TV(u) is taken
-    once and shared by the objective and the Lagrangian, and so are
-    ``||v .* w - u||^2`` by the Lagrangian and the constraint residual, and
-    ``||f - v||^2`` by the objective and the Lagrangian."""
+    With ``img.lam_p`` set the Lagrangian is the flux-split one, TV(u) and
+    ``sum |p|`` are the step's, and the gap ``p - grad u`` is
+    ``(lam_p - lam_p_prev) / alpha_p``, written into ``img.lam_alt`` in place
+    of the previous ``lam_p`` it holds: so these run once per iterate.
+    Otherwise TV(u) is taken here.  It is shared by the objective and the
+    Lagrangian, and so are ``||v .* w - u||^2`` by the Lagrangian and the
+    constraint residual, and ``||f - v||^2`` by the objective and the
+    Lagrangian."""
     u, v, w, f, gap = img.u, img.v, img.w, img.f, img.gap
-    if img.p is None:
-        tv = p_term = total_variation(u)
+    flux_split = img.lam_p is not None
+    if flux_split:
+        tv, p_term = float(img.tv), float(img.p_sum)
     else:
-        tv, p_term = float(magnitude(img.grad_u).sum()), float(img.p_sum)
+        tv = p_term = total_variation(u)
     gap_sq = dot(gap, gap)
     work = f - v
     resid_sq = dot(work, work)
@@ -308,11 +327,13 @@ def _bilinear_diagnostics(img: SimpleNamespace, cfg: SolverConfig):
         + dot(img.lam_w, gap)
         + 0.5 * cfg.alpha * gap_sq
     )
-    if img.p is not None:
-        lagrangian += dot(img.lam_p, img.gap_p) + 0.5 * cfg.alpha_p * dot(img.gap_p, img.gap_p)
+    if flux_split:
+        gap_p = np.subtract(img.lam_p, img.lam_alt, out=img.lam_alt)
+        gap_p /= cfg.alpha_p
+        lagrangian += dot(img.lam_p, gap_p) + 0.5 * cfg.alpha_p * dot(gap_p, gap_p)
     np.multiply(img.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
     work -= cfg.lambda2
-    u_norm = math.sqrt(dot(u, u))
+    u_norm = math.sqrt(img.u_sq)
     return (
         objective_H(u, v, f, cfg, tv, resid_sq),
         lagrangian,
@@ -325,16 +346,24 @@ def _bilinear_diagnostics(img: SimpleNamespace, cfg: SolverConfig):
 def _bilinear_solve(f, cfg: SolverConfig, truth, init, step):
     """``bca`` or ``bcaf`` on ``f``: ``init(f)`` is the starting
     :class:`SolverState`, and ``step(s, k, cfg)`` runs outer iteration ``k``
-    in place on the solve's namespace ``s``.  Next to the state, ``s`` holds
-    ``f``, ``lambda1_f = lambda1 * f``, the gap ``v .* w - u`` that the
-    multiplier step writes, ``log_w = ln(w)``, and with a gradient split
-    (``p``) also ``grad_u``, its gap ``gap_p = p - grad_u`` and ``p_sum``,
-    the p-step's ``sum |p|`` per image.  ``cfg.alpha`` is the penalty of
-    the bilinear block."""
+    in place on the solve's namespace ``s``.  Next to the state but its
+    ``p``, ``s`` holds ``f``, ``lambda1_f = lambda1 * f``, the gap
+    ``v .* w - u`` that the multiplier step writes, ``log_w = ln(w)`` and
+    ``u_sq`` (see :func:`_run`).  With a gradient split (``lam_p``) it also
+    holds, after each step:
+
+    * ``flux = alpha_p p + lam_p``, all that the next image update reads of
+      ``p``;
+    * ``lam_alt``, the previous ``lam_p``, whose buffer the next multiplier
+      takes (the diagnostics turn it into the gap ``p - grad u``);
+    * ``tv`` and ``p_sum``, TV(u) and ``sum |p|`` per image.
+
+    ``cfg.alpha`` is the penalty of the bilinear block."""
     f, solo = _as_stack(f)
     s = SimpleNamespace(**vars(init(f)), f=f, lambda1_f=cfg.lambda1 * f, gap=np.empty_like(f), log_w=None)
-    if s.p is not None:
-        s.grad_u, s.gap_p = np.empty_like(s.p), np.empty_like(s.p)
+    if s.lam_p is not None:
+        s.flux, s.lam_alt = _ascent(s.lam_p, cfg.alpha_p, s.p), s.p
+    del s.p
     return _run(cfg, truth, s, lambda s, k: step(s, k, cfg), lambda img: _bilinear_diagnostics(img, cfg), solo)
 
 
@@ -496,21 +525,24 @@ def bcaf_init(f: np.ndarray) -> SolverState:
     return state
 
 
-def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
+def bcaf_u_step(state: SolverState, f, cfg: SolverConfig, flux: np.ndarray | None = None) -> np.ndarray:
     """Screened-Poisson image update, solved exactly by one 2-D DCT.
 
     Normal equations of the u block:
     ``(alpha_w I - alpha_p Lap) u = -lambda2 + lam_w + alpha_w v.*w - div(lam_p + alpha_p p)``.
     The solve is direct, so the result does not depend on the previous u.
+    ``flux`` is ``lam_p + alpha_p p``; ``bcaf_solve`` passes the one it
+    holds, and it is formed from ``state.p`` and ``state.lam_p`` when
+    omitted.
     """
+    if flux is None:
+        flux = _ascent(state.lam_p, cfg.alpha_p, state.p)
     # in place, in the rounding order of the formula (-lambda2 + lam_w is
     # exactly lam_w - lambda2)
     rhs = np.subtract(state.lam_w, cfg.lambda2)
     work = np.multiply(state.v, cfg.alpha_w)
     work *= state.w
     rhs += work
-    flux = np.multiply(state.p, cfg.alpha_p)
-    flux += state.lam_p
     rhs -= divergence(flux, out=work)
     del work, flux  # not held through the solve's own temporaries
     return solve_screened_poisson(rhs, cfg.alpha_w, cfg.alpha_p)
@@ -519,44 +551,45 @@ def bcaf_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
 def bcaf_p_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray | None = None) -> np.ndarray:
     """Vector shrinkage of the gradient split; expects ``state.u`` advanced.
 
-    ``grad_u`` is ``gradient(state.u)``; ``bcaf_solve`` passes the one it
-    computes per iteration, and it is taken here when omitted.
+    ``p = shrink(grad u - lam_p/alpha_p, 1/alpha_p)``, with ``grad_u`` the
+    ``gradient(state.u)``, taken here when omitted.  (``bcaf_solve`` takes
+    the same step through its multiplier; see :func:`_bcaf_step`.)
     """
     if grad_u is None:
         grad_u = gradient(state.u)
-    return _bcaf_shrink(state, cfg, grad_u)[0]
-
-
-def _bcaf_shrink(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray):
-    """:func:`bcaf_p_step`'s ``p``, and ``sum |p|`` per image from the
-    shrinkage's own lengths."""
     q = np.divide(state.lam_p, cfg.alpha_p)
     np.subtract(grad_u, q, out=q)
-    return _shrink(q, 1.0 / cfg.alpha_p, out=q)
-
-
-def bcaf_multiplier_step(state: SolverState, cfg: SolverConfig, grad_u: np.ndarray, gap_p=None) -> np.ndarray:
-    """Dual ascent on the gradient split ``p = grad u``; expects u and p
-    advanced.  (The bilinear constraint's ascent is
-    :func:`bca_multiplier_step`.)
-
-    ``grad_u`` is ``gradient(state.u)``, computed once per iteration by the
-    caller and shared with the p-step and the trace diagnostics.  ``gap_p``,
-    when given, receives the constraint gap ``p - grad_u``, which the trace
-    diagnostics reuse.
-    """
-    gap_p = np.subtract(state.p, grad_u, out=gap_p)
-    return _ascent(state.lam_p, cfg.alpha_p, gap_p)
+    return soft_threshold(q, 1.0 / cfg.alpha_p, out=q)
 
 
 def _bcaf_step(s: SimpleNamespace, k: int, cfg: SolverConfig) -> None:
     """Outer iteration ``k`` of ``bcaf`` on the namespace of
-    :func:`_bilinear_solve`, in place: the image and gradient-split updates,
-    then ``bca``'s bilinear block, which reads neither ``p`` nor ``lam_p``."""
-    s.u = bcaf_u_step(s, s.f, cfg)
-    gradient(s.u, out=s.grad_u)
-    s.p, s.p_sum = _bcaf_shrink(s, cfg, s.grad_u)
-    s.lam_p = bcaf_multiplier_step(s, cfg, s.grad_u, s.gap_p)
+    :func:`_bilinear_solve`, in place: the image update, the gradient split
+    in primal-dual form, then ``bca``'s bilinear block, which reads neither
+    ``flux`` nor ``lam_p``.
+
+    With ``t = grad u - lam_p/alpha_p``, the p-step ``p = shrink(t,
+    1/alpha_p)`` followed by the ascent ``lam_p + alpha_p (p - grad u)``
+    gives ``lam_p' = -proj_{|.|<=1}(alpha_p t) = -alpha_p t / max(1,
+    |alpha_p t|)`` and ``p = t + lam_p'/alpha_p``.  So the next flux is
+    ``alpha_p t + 2 lam_p'``, and ``|p| = max(|alpha_p t| - 1, 0) /
+    alpha_p``.  ``grad u`` and ``alpha_p t`` are formed in the flux buffer
+    once the image update has read it, and ``lam_p'`` in ``lam_alt``.
+    """
+    s.u = bcaf_u_step(s, s.f, cfg, s.flux)
+    at = gradient(s.u, out=s.flux)
+    s.tv = magnitude(at).sum(axis=(-2, -1))
+    at *= cfg.alpha_p
+    at -= s.lam_p  # alpha_p t
+    m = magnitude(at)
+    np.maximum(m, 1.0, out=m)
+    s.p_sum = (m - 1.0).sum(axis=(-2, -1)) / cfg.alpha_p
+    np.negative(m, out=m)
+    lam_p = np.divide(at, m[..., None, :, :], out=s.lam_alt)
+    del m  # not held through the bilinear block's own temporaries
+    s.lam_alt, s.lam_p = s.lam_p, lam_p
+    at += lam_p  # the next flux, alpha_p t + 2 lam_p'
+    at += lam_p
     _bilinear_block(s, k, cfg)
 
 

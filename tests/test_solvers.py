@@ -21,7 +21,7 @@ import mpgdenoise.chambolle
 import mpgdenoise.grid
 import mpgdenoise.solvers as solvers
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
-from mpgdenoise.grid import DomainError, ShapeMismatchError, gradient, laplacian, ln, magnitude
+from mpgdenoise.grid import DomainError, ShapeMismatchError, divergence, gradient, laplacian, ln, magnitude
 from mpgdenoise.methods import METHODS, run_method
 from mpgdenoise.metrics import snr
 from mpgdenoise.noise import NoiseSpec, corrupt, make_phantom
@@ -441,7 +441,6 @@ def test_flux_u_step_solves_normal_equations():
     st.lam_p = rng.normal(size=(2,) + f.shape)
     cfg = SolverConfig(lambda1=8.0, lambda2=2.5, alpha_w=200.0, alpha_p=10.0)
     u = bcaf_u_step(st, f, cfg)
-    from mpgdenoise.grid import divergence
     rhs = (-cfg.lambda2 + st.lam_w - divergence(st.lam_p)
            + cfg.alpha_w * st.v * st.w - cfg.alpha_p * divergence(st.p))
     resid = cfg.alpha_w * u - cfg.alpha_p * laplacian(u) - rhs
@@ -537,12 +536,14 @@ def textbook_diagnostics(state, f, cfg):
     tv = np.sum(np.sqrt(grad_u[0] ** 2 + grad_u[1] ** 2))
     objective = gauss + cfg.lambda2 * np.sum(u - v * np.log(np.maximum(u, 1e-12) / v) - v) + tv
     gap = v * w - u
-    if state.p is None:
+    if state.lam_p is None:
         alpha, tv_term, flux_terms = cfg.alpha, tv, 0.0
     else:
-        gap_p = state.p - grad_u
+        # the solve holds the flux alpha_p p + lam_p in place of p
+        p = (state.flux - state.lam_p) / cfg.alpha_p
+        gap_p = p - grad_u
         alpha = cfg.alpha_w
-        tv_term = np.sum(np.sqrt(state.p[0] ** 2 + state.p[1] ** 2))
+        tv_term = np.sum(np.sqrt(p[0] ** 2 + p[1] ** 2))
         flux_terms = np.sum(state.lam_p * gap_p) + 0.5 * cfg.alpha_p * np.sum(gap_p**2)
     lagrangian = (
         gauss + cfg.lambda2 * np.sum(u - v * np.log(w) - v) + tv_term
@@ -559,29 +560,35 @@ def textbook_diagnostics(state, f, cfg):
 
 @pytest.mark.parametrize("method, step", [("bca", "_bca_step"), ("bcaf", "_bcaf_step")])
 def test_diagnostics_match_textbook_formulas(method, step, monkeypatch):
-    """The solve's own set-up and steps, checked after every iteration, at
-    ``alpha != alpha_w``: the textbook takes ``alpha`` for ``bca`` and
-    ``alpha_w`` for ``bcaf`` from the caller's config, whatever config the
-    solve hands its steps."""
+    """The solve's own set-up, steps and diagnostics, checked on the record
+    of every iteration, at ``alpha != alpha_w``: the textbook takes
+    ``alpha`` for ``bca`` and ``alpha_w`` for ``bcaf`` from the caller's
+    config, whatever config the solve hands its steps.  (``bcaf``'s
+    diagnostics turn the previous ``lam_p`` into the flux gap in place, so
+    they are wrapped rather than called a second time.)"""
     f = corrupt(make_phantom("circles", 24, 20), NoiseSpec(eta=4.0, sigma=1e-2, seed=6))
     cfg = dataclasses.replace(SPLIT_PENALTIES, max_iters=4)
-    real_step = getattr(solvers, step)
-    done = []
+    real_step, real_diagnostics = getattr(solvers, step), solvers._bilinear_diagnostics
+    stepped, checked = [], []
 
-    def checked(s, k, solve_cfg):
+    def counted_step(s, k, solve_cfg):
         real_step(s, k, solve_cfg)
-        img = solvers._image(s, 0)
-        got = solvers._bilinear_diagnostics(img, solve_cfg)
+        stepped.append(k)
+
+    def checked_diagnostics(img, solve_cfg):
         want = textbook_diagnostics(img, f, cfg)
+        got = real_diagnostics(img, solve_cfg)
         assert all(type(x) is float for x in got)
         names = ("objective", "lagrangian", "min_w", "identity", "constraint")
         for name, value, expected in zip(names, got, want):
-            assert abs(value - expected) <= 1e-12 * abs(expected), (k, name, value, expected)
-        done.append(k)
+            assert abs(value - expected) <= 1e-12 * abs(expected), (img.iters, name, value, expected)
+        checked.append(img.iters)
+        return got
 
-    monkeypatch.setattr(solvers, step, checked)
+    monkeypatch.setattr(solvers, step, counted_step)
+    monkeypatch.setattr(solvers, "_bilinear_diagnostics", checked_diagnostics)
     run_method(method, f, cfg)
-    assert done == [1, 2, 3, 4]
+    assert stepped == checked == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("solve", [bca_solve, bcaf_solve, tv_l2_solve, tv_kl_solve])
@@ -977,12 +984,118 @@ def test_bcaf_is_transposition_equivariant():
     assert np.max(np.abs(u_t.T - u)) <= 1e-13 * np.max(np.abs(u))
 
 
+def shrink_then_ascent_bcaf(f, cfg):
+    """``bcaf`` as plain ADMM on ``p = grad u``, from the public step
+    functions: the image update, the p-shrink, the ascent
+    ``lam_p + alpha_p (p - grad u)``, then the bilinear block at
+    ``alpha_w``, holding ``p``, ``lam_p`` and ``grad u`` whole.  Returns
+    ``u`` and the iteration the relative step stopped at."""
+    cfg = dataclasses.replace(cfg, alpha=cfg.alpha_w)
+    st = bcaf_init(f)
+    for k in range(1, cfg.max_iters + 1):
+        u_prev = st.u
+        st.u = bcaf_u_step(st, f, cfg)
+        grad_u = gradient(st.u)
+        st.p = bcaf_p_step(st, cfg, grad_u)
+        st.lam_p = st.lam_p + cfg.alpha_p * (st.p - grad_u)
+        st.v = bca_v_step(st, f, cfg)
+        st.w = bca_w_step(st, cfg)
+        st.lam_w = bca_multiplier_step(st, cfg)
+        st.iters = k
+        if np.linalg.norm(st.u - u_prev) <= cfg.xi * np.linalg.norm(u_prev):
+            break
+    return st.u, k
+
+
+@pytest.mark.parametrize("size, noise, cfg, iters", [
+    (32, NoiseSpec(eta=4.0, sigma=1e-2, seed=3), SolverConfig(lambda1=8.0, lambda2=2.5), 150),
+    (32, NoiseSpec(eta=4.0, sigma=1e-2, seed=3), SPLIT_PENALTIES, 200),
+    (192, NoiseSpec(eta=4.0, sigma=1e-4, seed=1), SolverConfig(lambda1=8.0, lambda2=2.5, max_iters=12), 12),
+], ids=["default", "distinct-penalties", "large"])
+def test_bcaf_matches_the_shrink_then_ascent_loop(size, noise, cfg, iters):
+    """The primal-dual step (multiplier projection, one flux field) is the
+    p-shrink followed by the ascent, to rounding, with the same stop: on
+    the inputs of the three ``bcaf`` byte pins below."""
+    f = corrupt(make_phantom("circles", size, size), noise)
+    u, trace = bcaf_solve(f, cfg)
+    u_ref, k_ref = shrink_then_ascent_bcaf(f, cfg)
+    assert len(trace) == k_ref == iters
+    assert np.max(np.abs(u - u_ref)) <= 1e-12 * np.max(np.abs(u_ref))
+
+
+def dual_bound(q, f, cfg):
+    """``D(q)``, the minimum over ``(u, v)`` of ``H`` with TV(u) replaced by
+    ``<q, grad u> = -<div q, u>``, a lower bound of ``min H`` for any field
+    with ``|q| <= 1`` (weak duality).  Per pixel, with ``d = div q < lambda2``:
+    ``(lambda1/2)(f - v*)^2 + c v*``, ``c = lambda2 log(1 - d/lambda2)``,
+    ``v* = max(epsilon, f - c/lambda1)``.  Where ``max d >= lambda2`` the
+    field is first scaled by ``lambda2 / (2 max d)`` to be feasible."""
+    d = divergence(q)
+    top = float(np.max(d))
+    if top >= cfg.lambda2:
+        d *= 0.5 * cfg.lambda2 / top
+    c = cfg.lambda2 * np.log1p(-d / cfg.lambda2)
+    v = np.maximum(cfg.epsilon, f - c / cfg.lambda1)
+    return float(np.sum(0.5 * cfg.lambda1 * (f - v) ** 2 + c * v))
+
+
+@pytest.mark.parametrize("eta, sigma", [(4.0, 1e-4), (20.0, 0.05)])
+def test_bcaf_multiplier_certifies_the_objective(eta, sigma, monkeypatch):
+    """An oracle that holds for any correct ``bcaf``: ``q = -lam_p`` is a
+    TV dual field with ``|q| <= 1`` (to rounding) on every record, so
+    ``D(q) <= H``, and the relative gap ``(H - D) / H`` closes to 1e-4
+    within 600 iterations.  A wrong sign of ``q`` keeps ``D <= H``; the
+    closing gap is what catches it."""
+    f = corrupt(make_phantom("circles", 64, 64), NoiseSpec(eta=eta, sigma=sigma, seed=1))
+    cfg = SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=600)
+    real_diagnostics = solvers._bilinear_diagnostics
+    bounds = []
+
+    def bounded(img, solve_cfg):
+        assert np.max(magnitude(img.lam_p)) <= 1.0 + 1e-12
+        bounds.append(dual_bound(-img.lam_p, img.f, solve_cfg))
+        return real_diagnostics(img, solve_cfg)
+
+    monkeypatch.setattr(solvers, "_bilinear_diagnostics", bounded)
+    _, trace = bcaf_solve(f, cfg)
+    assert len(trace) == len(bounds) == cfg.max_iters
+    assert all(d <= r.objective for d, r in zip(bounds, trace))
+    assert (trace[-1].objective - bounds[-1]) / trace[-1].objective <= 1e-4
+
+
+@pytest.mark.parametrize("solve", [bca_solve, bcaf_solve])
+def test_norm_of_each_iterate_is_taken_once(solve, monkeypatch):
+    """``||u||^2`` of each iterate is taken once, right after its step: the
+    next relative step and the record's constraint residual share it."""
+    iterates, norms = [], []
+    real_dot, real_run = solvers.dot, solvers._run
+
+    def counting(a, b):
+        if a is b and any(a.shape == u.shape and np.array_equal(a, u) for u in iterates):
+            norms.append(a)
+        return real_dot(a, b)
+
+    def recording(cfg, truth, s, step, diagnose, solo):
+        def recorded(s, k):
+            step(s, k)
+            iterates.append(s.u[0].copy())
+        iterates.append(s.u[0].copy())
+        return real_run(cfg, truth, s, recorded, diagnose, solo)
+
+    monkeypatch.setattr(solvers, "dot", counting)
+    monkeypatch.setattr(solvers, "_run", recording)
+    f = corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
+    _, trace = solve(f, SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5))
+    assert len(trace) == 5
+    assert len(norms) == 5 + 1
+
+
 # sha256 of every trace column but ``seconds`` (the wall clock) at the
 # defaults below, per method
 PINNED_COLUMNS = tuple(f.name for f in dataclasses.fields(TraceRecord) if f.name != "seconds")
 TRACE_DIGESTS = {
     "bca": "1f326620afcc0c736eada5bd0fc74593979823db6b084499260b34c3021f0328",
-    "bcaf": "f7aeb6d67a27cbf6bd14f47076a5a3bc03b6d135172a12a1364d4992a332003f",
+    "bcaf": "9c554b7131b74797c017f8a43fffe2293271ff7d5d2a5844180bb507a037cee7",
     "tvl2": "a2a0a06a69f885f726ccbec211b7982fafad1cf8e5b592554f44860b1679b1ca",
     "tvkl": "aa9c53296f31b424f05ba8eebfd1471c4545aa5bc5985b40398b2b7c7b4057d4",
 }
@@ -990,7 +1103,7 @@ TRACE_DIGESTS = {
 
 @pytest.mark.parametrize("method, iters, digest", [
     ("bca", 148, "1cc36efd622bd71b26910021a02b733e4a289df6341dfb322f9e9fa8390c01ec"),
-    ("bcaf", 150, "960821c37e665b74715c159fd8004151fb7f1dc3d695590fcb720447bf10c739"),
+    ("bcaf", 150, "7b6a175b4c815df8420117679574cd3880436740826aab012010f8422ae65de2"),
     ("tvl2", 10, "2b57220fe9b167dec491c2ab766513152bdbc209a55ff4ca892bf5e873916123"),
     ("tvkl", 162, "7ad1d7eeacb495e8134fbdd4c4f4a0c12ff85e3d6e6dee3733ce6fed63f8289f"),
 ])
@@ -1009,8 +1122,8 @@ def test_default_config_bytes_are_pinned(method, iters, digest):
 @pytest.mark.parametrize("method, iters, u_digest, trace_digest", [
     ("bca", 103, "71049155d9ccb08c735136babefa7058982b409efe23f9294612bb647720ca31",
      "227e7b26dfdcfcf0c0314753d81b715b9e9ea72ecdb77ab1696d4da8949cbc7f"),
-    ("bcaf", 200, "c77ac23a8351da2a492fb89f70f7c364a79614ca0b1b37574248915b3d288854",
-     "60f887091b84f748a6aaec9021b58dc045893e094422f8190ccae63e5b5dfddd"),
+    ("bcaf", 200, "e61501a9e6d26fd16a857edde23e65921ec48e4d06fcc037bd21b4e375ed4bd0",
+     "3c751579a70e2baa38c10c88a97dfba77c9604288fb7f1090b0dd84dafce6310"),
 ])
 def test_distinct_penalties_bytes_are_pinned(method, iters, u_digest, trace_digest):
     f = corrupt(make_phantom("circles", 32, 32), NoiseSpec(eta=4.0, sigma=1e-2, seed=3))
@@ -1043,8 +1156,8 @@ def test_each_split_reads_only_its_own_penalty(method, unread, read):
 @pytest.mark.parametrize("method, u_digest, trace_digest", [
     ("bca", "e23838a0bdc755523b7dd27e50303da48b6b81caddd2d214d2527e6f988efeba",
      "c2c5464dd513e7eaa8acecea4d8ee595f4bcc64018da77e527c57bc90cfab60b"),
-    ("bcaf", "5c2b9b3ec93d3c4a2fc01e936be9f5e1883cd189c82ee20f897fb537723a49e1",
-     "5edb88eb23e8e4c546952524c376bb7067158774d7ffcfd7967aab200bb4ba69"),
+    ("bcaf", "9ebefe4b3fc87d6c29caedcc0404e4a62bca234249860ec6a1d800141d8961c0",
+     "48ac0c3815a42849dda3fc2243204af8f8cf54769adb3f8245b63d7b0203c27a"),
 ])
 def test_large_single_image_bytes_are_pinned(method, u_digest, trace_digest):
     """A 192x192 single image keeps these bytes on one usable core and on
