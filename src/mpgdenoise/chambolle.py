@@ -17,6 +17,15 @@ solve a sequence of slowly-changing problems (the outer ADMM loops here) can
 warm-start without copying it; two consecutive warm-started calls compose
 into one longer run of the same iteration, exactly.
 
+Each step does only the arithmetic of the update.  ``tau`` is taken into
+``z = tau (div q - weight g)`` before its gradient, so ``t = grad z``
+already carries it and the step is ``q <- (q + t) / (1 + |t|)``: with
+``tau = 2^-2`` that scaling rounds nothing, and the bytes are those of the
+formula as long as no intermediate value is subnormal.  The divergence's
+views are made once per call (:func:`grid._divergence_of`), and the last
+divergence of a call, which ``u`` reads, is handed to the next call of the
+same solve as its first (see :func:`tv_l2_denoise`'s ``div``).
+
 Each step is a one-row stencil: the divergence reads the row above, the
 gradient the row below.  So a large image is worked in row blocks (above
 ``grid.BLOCK_PIXELS``, see :func:`tv_l2_denoise`), each on a copy of its dual
@@ -64,7 +73,11 @@ class ChambolleConfig:
             raise ValueError("inner_iters must be an integer >= 1")
 
 
-def tv_l2_denoise(g, weight, cfg=None, dual=None):
+#: the default of :func:`tv_l2_denoise`'s ``div``: no divergence carried
+_NO_CARRY = object()
+
+
+def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     """Run ``cfg.inner_iters`` dual-projection steps on the TV-L2 problem.
 
     Args:
@@ -74,15 +87,34 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
         dual: the dual field to start from and update in place, a float64
             array of ``field_shape(g.shape)``; ``None`` starts from the zero
             field in a new array.
+        div: passed, it carries ``div(dual)`` from one call to the next:
+            ``None`` when none is held (a solve's first call), else the
+            ``div`` that the previous call on this ``dual`` returned, the
+            dual unwritten since.  Not passed, the call takes the
+            divergence itself and returns two values.
 
     Returns:
         (u, dual): the primal estimate ``g - (1/weight) * div(dual)`` and the
-        dual field itself, for later warm starts.
+        dual field itself, for later warm starts; ``(u, dual, div)`` when
+        ``div`` is passed, with ``div`` the divergence of the updated dual
+        for the next call.
 
     A stack gives each image the bytes of its own solve.  The work arrays
-    are allocated once per block and every step runs in place on them, with
-    the operations in the order of the update formula, so the result is
-    bit-identical to evaluating that formula with fresh arrays.
+    are allocated once per block and every step runs in place on them, so
+    the result is bit-identical to evaluating the update formula with fresh
+    arrays.  The steps take ``TAU`` into ``z = TAU (div q - weight g)``
+    before its gradient, so ``t = TAU grad(div q - weight g)`` and the
+    update is ``q <- (q + t) / (1 + |t|)``.  ``TAU = 2^-2`` scales every
+    difference, square and root without rounding, so this holds bit for bit
+    as long as no intermediate value is subnormal.
+
+    The last divergence of the steps, ``div(dual)`` for ``u``, is the first
+    one the next call needs.  A call given ``div`` starts from it and leaves
+    the new one in the same array (so ``bca`` takes two divergences per
+    outer iteration, not three); a call that asks for the carry but holds
+    none takes it by :func:`grid.divergence`.  Only a call worked in one
+    block carries it: a blocked one returns ``div = None`` and holds no
+    image past its return.
 
     With ``G = inner_iters + 1`` ghost rows, a stack of ``B`` images of width
     ``W`` is worked in one block (on the dual itself) whenever its height is
@@ -101,23 +133,24 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
     if not weight > 0.0:
         raise DomainError("fidelity weight must be positive")
     g = np.asarray(g, dtype=np.float64)
-    shape = field_shape(g.shape)
-    if dual is None:
-        q = np.zeros(shape)
-    elif isinstance(dual, np.ndarray) and dual.dtype == np.float64 and dual.shape == shape:
-        q = dual
-    else:  # np.asarray would quietly copy it, and the caller's dual stay unwritten
-        raise ValueError(
-            f"dual must be a float64 array of shape {shape}, "
-            f"got {getattr(dual, 'dtype', type(dual).__name__)} {np.shape(dual)}"
-        )
+    q = np.zeros(field_shape(g.shape)) if dual is None else _writable("dual", dual, field_shape(g.shape))
+    carry = div is not _NO_CARRY
+    if not carry:
+        div = None
+    elif div is not None:
+        if dual is None:
+            raise ValueError("div needs the dual it is the divergence of")
+        div = _writable("div", div, g.shape)
 
     steps, h = cfg.inner_iters, g.shape[-2]
     ghost = steps + 1
     row_values = g.size // h
     rows = max(4 * ghost, grid.BLOCK_PIXELS // row_values)
     if h <= rows + 2 * ghost:
-        return _steps(g, weight, q, steps), q
+        if carry and div is None:
+            div = divergence(q)
+        u = _steps(g, weight, q, steps, div)
+        return (u, q, div) if carry else (u, q)
     two = grid._usable_cores() >= 2
     if two:
         rows = max(4 * ghost, grid.BLOCK_PIXELS // (2 * row_values))
@@ -138,15 +171,26 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None):
         _, _, s0, s1 = sweep[0]
         np.copyto(_rows_of(slab, q.shape, s1 - s0), q[..., s0:s1, :])
         args.append((g, weight, q, u, steps, sweep, work, slab, spare))
-    if not two:
+    if two:
+        err = dict(np.geterr(), call=np.geterrcall())
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            upper = pool.submit(_sweep_under, err, *args[1])
+            _sweep(*args[0])
+            upper.result()
+    else:
         _sweep(*args[0])
-        return u, q
-    err = dict(np.geterr(), call=np.geterrcall())
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        upper = pool.submit(_sweep_under, err, *args[1])
-        _sweep(*args[0])
-        upper.result()
-    return u, q
+    return (u, q, None) if carry else (u, q)
+
+
+def _writable(name, a, shape):
+    """``a``, if it is a float64 array of ``shape`` that a call can update in
+    place; else ``ValueError`` (np.asarray would quietly copy it, and the
+    caller's array stay unwritten)."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == shape:
+        return a
+    raise ValueError(
+        f"{name} must be a float64 array of shape {shape}, got {getattr(a, 'dtype', type(a).__name__)} {np.shape(a)}"
+    )
 
 
 #: image-sized work arrays of one :func:`_steps` call: ``weight * g``, ``z``,
@@ -169,7 +213,7 @@ def _sweep(g, weight, q, u, steps, blocks, work, slab, spare):
     back."""
     for i, (r0, r1, s0, s1) in enumerate(blocks):
         dual = _rows_of(slab, q.shape, s1 - s0)
-        _steps(g[..., s0:s1, :], weight, dual, steps, slice(r0 - s0, r1 - s0), u[..., r0:r1, :], work)
+        _steps(g[..., s0:s1, :], weight, dual, steps, None, slice(r0 - s0, r1 - s0), u[..., r0:r1, :], work)
         if i + 1 < len(blocks):
             _, _, n0, n1 = blocks[i + 1]
             np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
@@ -184,38 +228,43 @@ def _sweep_under(err: dict, *args):
         _sweep(*args)
 
 
-def _steps(g, weight, q, steps, own=slice(None), out=None, work=None):
+def _steps(g, weight, q, steps, div=None, own=slice(None), out=None, work=None):
     """``steps`` dual steps on ``q`` in place; returns rows ``own`` of
     ``g - (1/weight) div q``, in a new array or ``out``.  The work arrays
     are views of the flat array ``work`` when given (``_STEP_ARRAYS`` images
-    of ``g``'s size at least), else new."""
-    # work arrays: z = div q - weight*g (then scratch for t_y^2), t = grad z,
-    # m = 1 + TAU*|t|, seen by q through m_q
+    of ``g``'s size at least), else new.  ``div``, an image array holding
+    ``div q``, is taken as ``z``: the steps start from it and leave the
+    divergence of the updated ``q`` in it."""
+    # work arrays: z = TAU*(div q - weight*g) (then scratch for t_y^2, then
+    # div q), t = grad z, m = 1 + |t| (then the divergence's y differences),
+    # seen by q through m_q
     if work is None:
-        wg, z, m, t = weight * g, np.empty(g.shape), np.empty(g.shape), np.empty(q.shape)
+        wg, m, t = weight * g, np.empty(g.shape), np.empty(q.shape)
+        z = np.empty(g.shape) if div is None else div
     else:
         n = g.size
         wg = np.multiply(weight, g, out=work[:n].reshape(g.shape))
         z = work[n : 2 * n].reshape(g.shape)
         m = work[2 * n : 3 * n].reshape(g.shape)
         t = work[3 * n : 5 * n].reshape(q.shape)
-    m_q = m[..., None, :, :]
+    m_q, t_x, t_y = m[..., None, :, :], t[..., 0, :, :], t[..., 1, :, :]
+    div_q = grid._divergence_of(q, z, m)
+    if div is None:
+        div_q()
     for _ in range(steps):
-        divergence(q, out=z)
         z -= wg
+        z *= TAU
         gradient(z, out=t)
-        np.square(t[..., 0, :, :], out=m)
-        m += np.square(t[..., 1, :, :], out=z)
+        np.square(t_x, out=m)
+        m += np.square(t_y, out=z)
         np.sqrt(m, out=m)
-        m *= TAU
         m += 1.0
-        # q <- (q + TAU*t) / m, in the same rounding order as that expression
-        t *= TAU
+        # q <- (q + TAU*t) / (1 + TAU*|t|), with TAU already in t
         q += t
         q /= m_q
-    divergence(q, out=z)
-    z /= weight
-    return np.subtract(g[..., own, :], z[..., own, :], out=out)
+        div_q()
+    np.divide(z, weight, out=m)
+    return np.subtract(g[..., own, :], m[..., own, :], out=out)
 
 
 def tv_l2_energy(u, g, weight) -> float:

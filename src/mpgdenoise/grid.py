@@ -149,29 +149,55 @@ def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     in place, in row chunks of at most ``BLOCK_PIXELS`` values; returns that
     array.
     """
+    d = np.empty(q.shape[:-3] + q.shape[-2:]) if out is None else out
+    return _divergence_of(q, d)()
+
+
+def _divergence_of(q: np.ndarray, d: np.ndarray, dy: np.ndarray | None = None):
+    """``divergence(q, out=d)`` as a function of no arguments, which runs it
+    on the values ``q`` holds then and returns ``d``.
+
+    Its views of ``q`` and ``d`` are made here, once, for a caller that
+    takes the divergence of one field many times.  ``dy``, an array of
+    ``d``'s shape overlapping neither, takes the y differences in one pass;
+    without it they go to temporaries of at most ``BLOCK_PIXELS`` values.
+    The bytes are the same either way.
+    """
     qx, qy = q[..., 0, :, :], q[..., 1, :, :]
     h, w = qx.shape[-2:]
-    d = np.empty(qx.shape) if out is None else out
     if w > 1:
         qxf, df = _joined_rows(qx), _joined_rows(d)
         if qxf is not None and df is not None:
-            np.subtract(qxf[..., 1:], qxf[..., :-1], out=df[..., 1:])
+            x_diff = (qxf[..., 1:], qxf[..., :-1], df[..., 1:])
         else:
-            np.subtract(qx[..., 1 : w - 1], qx[..., 0 : w - 2], out=d[..., 1 : w - 1])
-        d[..., 0] = qx[..., 0]
-        # a plain assignment: numpy 2.4 np.negative into a strided column
-        # view gives wrong values for some widths (8 among them)
-        d[..., w - 1] = -qx[..., w - 2]
-    else:
-        d[...] = 0.0
+            x_diff = (qx[..., 1 : w - 1], qx[..., 0 : w - 2], d[..., 1 : w - 1])
+        near, near_q, far, far_q = d[..., 0], qx[..., 0], d[..., w - 1], qx[..., w - 2]
     if h > 1:
-        d[..., 0, :] += qy[..., 0, :]
-        step = max(1, BLOCK_PIXELS // (d.size // h))
+        top, top_q, bottom, bottom_q = d[..., 0, :], qy[..., 0, :], d[..., h - 1, :], qy[..., h - 2, :]
+        step = h if dy is not None else max(1, BLOCK_PIXELS // (d.size // h))
+        y_diffs = []
         for r0 in range(1, h - 1, step):
             r1 = min(r0 + step, h - 1)
-            d[..., r0:r1, :] += qy[..., r0:r1, :] - qy[..., r0 - 1 : r1 - 1, :]
-        d[..., h - 1, :] -= qy[..., h - 2, :]
-    return d
+            diff = None if dy is None else dy[..., r0:r1, :]
+            y_diffs.append((d[..., r0:r1, :], qy[..., r0:r1, :], qy[..., r0 - 1 : r1 - 1, :], diff))
+
+    def run() -> np.ndarray:
+        if w > 1:
+            np.subtract(*x_diff)
+            near[...] = near_q
+            # a plain assignment: numpy 2.4 np.negative into a strided column
+            # view gives wrong values for some widths (8 among them)
+            far[...] = -far_q
+        else:
+            d[...] = 0.0
+        if h > 1:
+            np.add(top, top_q, out=top)
+            for rows, upper, lower, diff in y_diffs:
+                rows += np.subtract(upper, lower, out=diff)
+            np.subtract(bottom, bottom_q, out=bottom)
+        return d
+
+    return run
 
 
 # np.dot hands vectors above some length to BLAS threads (OpenBLAS ddot:
@@ -236,11 +262,12 @@ def total_variation(u: np.ndarray) -> float:
 
 
 def ln(a):
-    """Entrywise natural log; nonpositive entries raise ``DomainError``.
+    """Entrywise natural log; nonpositive or NaN entries raise ``DomainError``.
 
     Inside the solvers a nonpositive log argument always means an invariant
     was violated upstream, so this raises where numpy would return inf/nan.
     """
-    if np.any(a <= 0.0):
-        raise DomainError("log of nonpositive entry")
+    # one reduction, and NaN fails the comparison as a nonpositive entry does
+    if not np.min(a) > 0.0:
+        raise DomainError("log of nonpositive or NaN entry")
     return np.log(a)

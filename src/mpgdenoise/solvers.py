@@ -61,8 +61,9 @@ the attributes of a :class:`SolverState` (``bcaf``'s a flux field in place
 of ``p``) and goes to the step functions in its place.
 
 Within one outer iteration of a bilinear solver each full-size quantity
-(the bilinear constraint gap, ``grad u``, ``ln(w)``) is formed once and
-shared by the steps and the trace diagnostics: ``bcaf`` takes TV(u) and
+(the bilinear constraint gap, ``grad u``, ``ln(w)``, and ``div(dual)``, which
+each TV call leaves for the next in ``div``) is formed once and shared by the
+steps and the trace diagnostics: ``bcaf`` takes TV(u) and
 ``sum |p|`` from the ``grad u`` and the projection of its own step, and the
 gap ``p - grad u`` from its two multipliers (see ``_bilinear_solve``).  The
 step functions take such quantities as optional arguments and form them
@@ -156,8 +157,11 @@ class SolverState:
     ``p``/``lam_p`` exist only in the flux-split variant, whose step
     functions read them (``bcaf_solve`` itself starts from them and then
     carries ``lam_p`` and the flux ``alpha_p p + lam_p`` instead); ``dual``
-    carries the warm-started TV dual field between image updates; ``iters``
-    counts completed outer iterations.
+    carries the warm-started TV dual field between image updates and
+    ``div`` its divergence, as the last image update left it for the next
+    (``None`` before the first, or when that update ran in row blocks;
+    whatever writes ``dual`` otherwise must reset it); ``iters`` counts
+    completed outer iterations.
     """
 
     u: np.ndarray
@@ -167,6 +171,7 @@ class SolverState:
     p: np.ndarray | None = None
     lam_p: np.ndarray | None = None
     dual: np.ndarray | None = None
+    div: np.ndarray | None = None
     iters: int = 0
 
 
@@ -331,14 +336,16 @@ def _bilinear_diagnostics(img: SimpleNamespace, cfg: SolverConfig):
         gap_p = np.subtract(img.lam_p, img.lam_alt, out=img.lam_alt)
         gap_p /= cfg.alpha_p
         lagrangian += dot(img.lam_p, gap_p) + 0.5 * cfg.alpha_p * dot(gap_p, gap_p)
-    np.multiply(img.lam_w, w, out=work)  # becomes |lam_w .* w - lambda2|
-    work -= cfg.lambda2
+    # max |x - lambda2| over x = lam_w .* w is max(max x - lambda2,
+    # lambda2 - min x) with the same bits: rounding is monotone and symmetric
+    x = np.multiply(img.lam_w, w, out=work)
+    identity = max(float(np.max(x)) - cfg.lambda2, cfg.lambda2 - float(np.min(x)))
     u_norm = math.sqrt(img.u_sq)
     return (
         objective_H(u, v, f, cfg, tv, resid_sq),
         lagrangian,
         float(np.min(w)),
-        float(np.max(np.abs(work, out=work))),
+        identity,
         math.sqrt(gap_sq) / (u_norm if u_norm > 0.0 else 1.0),
     )
 
@@ -396,11 +403,12 @@ def bca_u_step(state: SolverState, f, cfg: SolverConfig) -> np.ndarray:
     over ``u``, i.e. a TV proximal step at weight ``alpha`` around the target
     ``v .* w + lam_w/alpha - lambda2/alpha``, inexactly: ``cfg.chambolle``
     dual steps, or ``BCA_INNER_ITERS`` when it is ``None``.  The TV dual
-    field is updated in place in ``state.dual`` for the next warm start.
+    field is updated in place in ``state.dual`` for the next warm start, and
+    its divergence carried in ``state.div``.
     """
     target = state.v * state.w + state.lam_w / cfg.alpha - cfg.lambda2 / cfg.alpha
     chambolle = cfg.chambolle or ChambolleConfig(inner_iters=BCA_INNER_ITERS)
-    u, state.dual = tv_l2_denoise(target, cfg.alpha, chambolle, state.dual)
+    u, state.dual, state.div = tv_l2_denoise(target, cfg.alpha, chambolle, state.dual, div=state.div)
     return u
 
 
@@ -456,11 +464,14 @@ def bca_w_step(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     # equal, and picking by the sign of x avoids the catastrophic cancellation
     # of (x + root) when x is negative.  root + |x| is exactly x + root where
     # x >= 0 and root - x where x < 0 (a - b == a + (-b) in IEEE arithmetic),
-    # so both quotients come from that one array.
+    # so both quotients come from that one array.  Where no x is negative
+    # (every pixel of a real input), the first quotient is the result.
     np.abs(x, out=s)
     s += root
     np.multiply(v, 2.0, out=root)
     np.divide(s, root, out=root)
+    if np.min(x) >= 0.0:
+        return root
     np.divide(2.0 * lambda2 / cfg.alpha, s, out=s)
     return np.where(x >= 0.0, root, s)
 
@@ -613,10 +624,10 @@ def tv_l2_solve(f, lam: float, cfg: SolverConfig, truth=None):
     per-block trace records.  ``f`` may be a stack, as in :func:`bca_solve`.
     """
     f, solo = _as_stack(f)
-    s = SimpleNamespace(f=f, u=f, dual=None)
+    s = SimpleNamespace(f=f, u=f, dual=None, div=None)
 
     def step(s, k):
-        s.u, s.dual = tv_l2_denoise(s.f, lam, cfg.chambolle, s.dual)
+        s.u, s.dual, s.div = tv_l2_denoise(s.f, lam, cfg.chambolle, s.dual, div=s.div)
 
     def diagnose(s):
         val = tv_l2_energy(s.u, s.f, lam)
@@ -651,10 +662,10 @@ def tv_kl_solve(f, lam: float, cfg: SolverConfig, truth=None):
     if np.min(f) < 0.0:
         raise DomainError("Poisson fidelity needs a nonnegative observation")
     rho = cfg.alpha
-    s = SimpleNamespace(f=f, u=f.copy(), z=f.copy(), mu=np.zeros_like(f), dual=None)
+    s = SimpleNamespace(f=f, u=f.copy(), z=f.copy(), mu=np.zeros_like(f), dual=None, div=None)
 
     def step(s, k):
-        s.u, s.dual = tv_l2_denoise(s.z + s.mu / rho, rho, cfg.chambolle, s.dual)
+        s.u, s.dual, s.div = tv_l2_denoise(s.z + s.mu / rho, rho, cfg.chambolle, s.dual, div=s.div)
         s.z = kl_z_update(s.u, s.mu, s.f, lam, rho)
         s.mu = s.mu + rho * (s.z - s.u)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mpgdenoise.chambolle import ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
-from mpgdenoise.grid import DomainError, gradient, magnitude
+from mpgdenoise.chambolle import TAU, ChambolleConfig, soft_threshold, tv_l2_denoise, tv_l2_energy
+from mpgdenoise.grid import DomainError, divergence, field_shape, gradient, magnitude
 
 
 def tv1d_dp(g, weight, lo, hi, step):
@@ -120,6 +120,77 @@ def test_in_place_steps_write_the_callers_dual_with_the_same_bytes():
     assert dual is warm
     u_fresh, d_fresh = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=7))
     assert u.tobytes() == u_fresh.tobytes() and warm.tobytes() == d_fresh.tobytes()
+
+
+def textbook_tv_l2(g, weight, steps, dual):
+    """The update formula on fresh arrays, ``q <- (q + TAU t) / (1 + TAU |t|)``
+    with ``t = grad(div q - weight g)``, then ``u = g - div q / weight``."""
+    q = dual.copy()
+    for _ in range(steps):
+        t = gradient(divergence(q) - weight * g)
+        q = (q + TAU * t) / (1.0 + TAU * magnitude(t))[..., None, :, :]
+    return g - divergence(q) / weight, q
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("stack", [None, 3])
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 2), (3, 3), (64, 48)])
+def test_steps_give_the_bytes_of_the_textbook_update(shape, stack, depth):
+    """``TAU`` taken into ``z``, the divergence's views made once and its y
+    differences written into ``m``: ``u`` and the dual keep the bytes of the
+    formula, from a zero and from a warm dual."""
+    rng = np.random.default_rng(sum(shape) + depth)
+    shape = shape if stack is None else (stack, *shape)
+    g = rng.uniform(-1.0, 2.0, shape)
+    weight = float(rng.uniform(0.5, 8.0))
+    cfg = ChambolleConfig(inner_iters=depth)
+    warm = rng.normal(0.0, 0.5, field_shape(shape))
+    warm /= np.maximum(magnitude(warm), 1.0)[..., None, :, :]
+    for start in (np.zeros(field_shape(shape)), warm):
+        u_ref, q_ref = textbook_tv_l2(g, weight, depth, start)
+        u, q = tv_l2_denoise(g, weight, cfg, start.copy())
+        assert u.tobytes() == u_ref.tobytes() and q.tobytes() == q_ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (3, 9, 8)])
+def test_carried_divergence_gives_the_bytes_of_calls_without_it(shape):
+    """Twenty warm-started calls on a moving ``g``, each handed the ``div``
+    the previous one returned, give the ``u`` and dual bytes of twenty calls
+    that take the divergence themselves, and ``div`` is always the dual's.
+    The stack drops its middle image after the tenth call, from the dual and
+    the carried image alike, as the solvers' ``_keep`` does."""
+    rng = np.random.default_rng(31)
+    base, drift = rng.uniform(0, 1, shape), rng.normal(0, 0.05, shape)
+    cfg = ChambolleConfig(inner_iters=2)
+    dual = div = ref = None
+    for k in range(20):
+        if k == 10 and len(shape) == 3:
+            keep = [0, 2]
+            base, drift, dual, div, ref = base[keep], drift[keep], dual[keep], div[keep], ref[keep]
+        g = base + k * drift
+        u, dual, div = tv_l2_denoise(g, 2.5, cfg, dual, div=div)
+        u_ref, ref = tv_l2_denoise(g, 2.5, cfg, ref)
+        assert u.tobytes() == u_ref.tobytes() and dual.tobytes() == ref.tobytes()
+        assert div.tobytes() == divergence(dual).tobytes()
+
+
+def test_carried_divergence_is_the_array_passed_in():
+    g = np.random.default_rng(6).uniform(0, 1, (9, 8))
+    cfg = ChambolleConfig(inner_iters=2)
+    _, dual, div = tv_l2_denoise(g, 2.5, cfg, div=None)
+    _, dual2, div2 = tv_l2_denoise(g, 2.5, cfg, dual, div=div)
+    assert dual2 is dual and div2 is div
+
+
+@pytest.mark.parametrize("dual, div, match", [
+    (None, np.zeros((9, 8)), "div needs the dual"),
+    (np.zeros((2, 9, 8)), np.zeros((8, 9)), "div must be a float64 array of shape"),
+    (np.zeros((2, 9, 8)), np.zeros((9, 8), dtype=np.float32), "div must be a float64 array of shape"),
+])
+def test_div_that_cannot_be_carried_is_rejected(dual, div, match):
+    g = np.random.default_rng(11).uniform(0, 1, (9, 8))
+    with pytest.raises(ValueError, match=match):
+        tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=2), dual, div=div)
 
 
 @pytest.mark.parametrize("dual", [

@@ -261,3 +261,9 @@ def test_domain_errors():
         grid.ln(np.array([[1.0, 0.0]]))
     with pytest.raises(grid.DomainError):
         grid.ln(np.array([[-0.5, 1.0]]))
+
+
+def test_ln_rejects_nan():
+    """NaN fails ``a > 0`` as a nonpositive entry does."""
+    with pytest.raises(grid.DomainError, match="nonpositive or NaN"):
+        grid.ln(np.array([[1.0, np.nan]]))

@@ -91,6 +91,23 @@ def test_tv_blocks_start_just_above_one_block(depth, extra, blocks):
     assert assert_tv_blocks_exact(g, depth, warm) == blocks
 
 
+def test_blocked_call_carries_no_divergence():
+    """Above the block size a call asked for the carry takes its own
+    divergences and returns ``div = None``, with the bytes of the call that
+    was not asked; the next call then starts without one."""
+    rng = np.random.default_rng(40)
+    g = rng.uniform(0, 1, (40, 33))
+    cfg = ChambolleConfig(inner_iters=2)
+    dual = rng.normal(0, 0.4, (2, 40, 33))
+    ref = dual.copy()
+    with block_pixels(SMALL_BLOCK):
+        for _ in range(2):
+            u, dual, div = tv_l2_denoise(g, 2.5, cfg, dual, div=None)
+            u_ref, ref = tv_l2_denoise(g, 2.5, cfg, ref)
+            assert div is None
+            assert u.tobytes() == u_ref.tobytes() and dual.tobytes() == ref.tobytes()
+
+
 @given(
     stack=hst.integers(1, 3),
     h=hst.integers(1, 100),

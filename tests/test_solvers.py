@@ -387,6 +387,27 @@ def test_w_step_bytes_match_masked_formula_property(data, lambda2, alpha):
     _w_step_bytes_match_masked(u, v, lam_w, lambda2, alpha)
 
 
+@pytest.mark.parametrize("mixed", [False, True])
+def test_w_step_fast_path_bytes_match_masked_formula(monkeypatch, mixed):
+    """With no ``x = u - lam_w/alpha`` negative (+0.0 and -0.0 among them)
+    the step returns its first quotient without the select; one negative
+    ``x`` takes the select.  Both give the masked formula's bytes."""
+    rng = np.random.default_rng(21)
+    u = rng.uniform(0.1, 2.0, (8, 8))
+    lam_w = rng.uniform(0.0, 2.5, (8, 8))
+    u[0, 0], lam_w[0, 0] = 0.0, -0.0  # x = +0.0
+    u[0, 1], lam_w[0, 1] = -0.0, 0.0  # x = -0.0
+    if mixed:
+        u[3, 4] = -0.3
+    v = rng.uniform(1e-6, 1.0, (8, 8))
+    assert (np.min(u - lam_w / 200.0) < 0.0) == mixed
+    selects = []
+    real_where = np.where
+    monkeypatch.setattr(np, "where", lambda *a: selects.append(1) or real_where(*a))
+    _w_step_bytes_match_masked(u, v, lam_w, 2.5, 200.0)
+    assert len(selects) == mixed
+
+
 def test_w_step_rejects_infeasible_v():
     cfg = SolverConfig(lambda1=1.0, lambda2=1.5, alpha=5.0, epsilon=1e-3)
     z = np.zeros((2, 2))
