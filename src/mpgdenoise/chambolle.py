@@ -32,17 +32,15 @@ gradient the row below.  So a large image is worked in row blocks (above
 with ``inner_iters + 1`` ghost rows on either side.  A wrong value at an
 artificial cut spreads one row per step and has not reached a block's own
 rows after the steps and the final divergence, so every pixel gets the bytes
-of the unblocked run.  Blocks read only their neighbours' rows, so on two or
-more usable cores two sweeps of blocks, one up and one down from the middle,
-run at once on two threads (numpy releases the interpreter lock in its
-loops).
+of the unblocked run.  The blocks run in one sweep, top to bottom, on the
+calling thread: no call starts a thread, and the core count changes neither
+a byte nor a block.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +80,7 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
 
     Args:
         g: observation image ``(H, W)``, or a stack ``(B, H, W)`` of them.
-        weight: positive fidelity weight (larger -> closer to ``g``).
+        weight: positive finite fidelity weight (larger -> closer to ``g``).
         cfg: ChambolleConfig; defaults to ``ChambolleConfig()``.
         dual: the dual field to start from and update in place, a float64
             array of ``field_shape(g.shape)``; ``None`` starts from the zero
@@ -119,19 +117,15 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     With ``G = inner_iters + 1`` ghost rows, a stack of ``B`` images of width
     ``W`` is worked in one block (on the dual itself) whenever its height is
     at most ``max(4 G, BLOCK_PIXELS // (B W)) + 2 G``.  A taller one is worked
-    in blocks of ``max(4 G, BLOCK_PIXELS // (B W))`` rows on one usable core.
-    On two or more, the blocks span ``max(4 G, BLOCK_PIXELS // (2 B W))``
-    rows, and two sweeps run outward from the middle: the lower one on this
-    thread, the upper one on a worker thread under this thread's numpy error
-    state, joined before this returns or raises.  Each block runs every step
-    on a copy of its dual rows widened by ``G`` on either side, then writes
-    back only its own rows of ``u`` and of the dual; the bytes are those of
-    one block.
+    in blocks of ``max(4 G, BLOCK_PIXELS // (B W))`` rows, in one sweep from
+    the top on the calling thread.  Each block runs every step on a copy of
+    its dual rows widened by ``G`` on either side, then writes back only its
+    own rows of ``u`` and of the dual; the bytes are those of one block.
     """
     if cfg is None:
         cfg = ChambolleConfig()
-    if not weight > 0.0:
-        raise DomainError("fidelity weight must be positive")
+    if not 0.0 < weight < math.inf:
+        raise DomainError("fidelity weight must be finite and positive")
     g = np.asarray(g, dtype=np.float64)
     q = np.zeros(field_shape(g.shape)) if dual is None else _writable("dual", dual, field_shape(g.shape))
     carry = div is not _NO_CARRY
@@ -151,34 +145,26 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
             div = divergence(q)
         u = _steps(g, weight, q, steps, div)
         return (u, q, div) if carry else (u, q)
-    two = grid._usable_cores() >= 2
-    if two:
-        rows = max(4 * ghost, grid.BLOCK_PIXELS // (2 * row_values))
-    blocks = [(r0, min(r0 + rows, h)) for r0 in range(0, h, rows)]
-    blocks = [(r0, r1, max(r0 - ghost, 0), min(r1 + ghost, h)) for r0, r1 in blocks]
-    mid = len(blocks) // 2
-    sweeps = [blocks[mid:], blocks[:mid][::-1]] if two else [blocks]
+    # u before the block buffers: in the other order, glibc's heap kept one
+    # more image resident over a run of calls (cli-1024 peaked 7 MB higher).
+    # A block runs on a copy of its dual rows (the slab) with the work arrays
+    # of one _steps call; the next block's slab overlaps this block's own
+    # rows, so it is copied into the spare buffer before they are written back
     u = np.empty(g.shape)
-    # every array a sweep writes is made here, on the calling thread (what a
-    # worker thread allocates grows a malloc arena of its own): work arrays
-    # for a slab and two slab buffers, the one a block runs on and the next
-    # one.  Both slabs at the cut are copied before either sweep writes a
-    # dual row.
     size = (rows + 2 * ghost) * row_values
-    args = []
-    for sweep in sweeps:
-        work, slab, spare = np.empty(_STEP_ARRAYS * size), np.empty(2 * size), np.empty(2 * size)
-        _, _, s0, s1 = sweep[0]
-        np.copyto(_rows_of(slab, q.shape, s1 - s0), q[..., s0:s1, :])
-        args.append((g, weight, q, u, steps, sweep, work, slab, spare))
-    if two:
-        err = dict(np.geterr(), call=np.geterrcall())
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            upper = pool.submit(_sweep_under, err, *args[1])
-            _sweep(*args[0])
-            upper.result()
-    else:
-        _sweep(*args[0])
+    work, slab, spare = np.empty(_STEP_ARRAYS * size), np.empty(2 * size), np.empty(2 * size)
+    s1 = min(rows + ghost, h)
+    np.copyto(_rows_of(slab, q.shape, s1), q[..., :s1, :])
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        s0, s1 = max(r0 - ghost, 0), min(r1 + ghost, h)
+        block_q = _rows_of(slab, q.shape, s1 - s0)
+        _steps(g[..., s0:s1, :], weight, block_q, steps, None, slice(r0 - s0, r1 - s0), u[..., r0:r1, :], work)
+        if r1 < h:
+            n0, n1 = r1 - ghost, min(r1 + rows + ghost, h)
+            np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
+        q[..., r0:r1, :] = block_q[..., r0 - s0 : r1 - s0, :]
+        slab, spare = spare, slab
     return (u, q, None) if carry else (u, q)
 
 
@@ -203,29 +189,6 @@ def _rows_of(buf, shape, n):
     cut to ``n`` rows: a contiguous view."""
     shape = shape[:-2] + (n, shape[-1])
     return buf[: math.prod(shape)].reshape(shape)
-
-
-def _sweep(g, weight, q, u, steps, blocks, work, slab, spare):
-    """Run ``blocks`` ``(r0, r1, s0, s1)`` in order, each on its dual rows
-    ``s0:s1``, which ``slab`` (a flat buffer) holds on entry, writing rows
-    ``r0:r1`` of ``u`` and of ``q``.  The next block's slab overlaps this
-    one's own rows, so it is copied into ``spare`` before they are written
-    back."""
-    for i, (r0, r1, s0, s1) in enumerate(blocks):
-        dual = _rows_of(slab, q.shape, s1 - s0)
-        _steps(g[..., s0:s1, :], weight, dual, steps, None, slice(r0 - s0, r1 - s0), u[..., r0:r1, :], work)
-        if i + 1 < len(blocks):
-            _, _, n0, n1 = blocks[i + 1]
-            np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
-        q[..., r0:r1, :] = dual[..., r0 - s0 : r1 - s0, :]
-        slab, spare = spare, slab
-
-
-def _sweep_under(err: dict, *args):
-    """:func:`_sweep` under the numpy error state ``err`` (a thread starts
-    from the default state, not from its caller's)."""
-    with np.errstate(**err):
-        _sweep(*args)
 
 
 def _steps(g, weight, q, steps, div=None, own=slice(None), out=None, work=None):

@@ -25,11 +25,11 @@ of SSIM and of the divergence's y part runs in row blocks: each block spans
 the operand it sweeps holds (``B * W`` for a stack of ``B`` images, ``2 * W``
 for a gradient field or an image pair), plus the halo rows its stencil reads.
 Every pixel gets the same operations as without blocks, so the bytes do not
-change; only the temporaries shrink to block size.  On two or more usable
-cores (:func:`_usable_cores`), the same rule splits image-sized work in two:
-the blocked TV dual step runs two sweeps of half-size blocks on two threads,
-and float-text reads and writes of more than ``BLOCK_PIXELS`` samples run
-half in a forked child (see :mod:`mpgdenoise.chambolle` and
+change; only the temporaries shrink to block size.  The blocks run in one
+sweep on the calling thread.  The same rule sets the one second-core
+mechanism in the package's own work: on two or more usable cores
+(:func:`_usable_cores`), float-text reads and writes of more than
+``BLOCK_PIXELS`` samples run half in a forked child (see
 :mod:`mpgdenoise.fileio`).
 """
 
@@ -41,15 +41,15 @@ import numpy as np
 
 
 #: the one block-size rule: work above this many values runs in row blocks,
-#: and, on two or more usable cores, in two halves at once
+#: and float text, on two or more usable cores, in two halves at once
 BLOCK_PIXELS = 2**17
 
 
 def _usable_cores() -> int:
     """Cores this process may run on (CPU affinity and cpusets respected).
 
-    The one rule for using a second core: the TV sweeps, the float-text
-    halves and the bench's worker count read it.
+    The one rule for using a second core: only the float-text halves and
+    the bench's worker count read it.
     """
     try:
         return len(os.sched_getaffinity(0))

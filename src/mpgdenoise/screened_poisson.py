@@ -39,6 +39,7 @@ to rounding, and the package needs no scipy.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -160,18 +161,18 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
     Args:
         rhs: right-hand side image (H, W), or a stack (B, H, W) of them,
             each solved on its own with the bytes of its own solve.
-        alpha_w: screening weight, must be > 0.
-        alpha_p: diffusion weight, must be >= 0.
+        alpha_w: screening weight, finite and > 0.
+        alpha_p: diffusion weight, finite and >= 0.
 
     Returns:
         The solution image or stack, row-major.  The operator's eigenvalues
         are all at least ``alpha_w``, so the division never meets a zero;
         the result is exact up to the rounding of the transforms.
     """
-    if not alpha_w > 0.0:
-        raise ValueError("alpha_w must be positive")
-    if not alpha_p >= 0.0:
-        raise ValueError("alpha_p must be nonnegative")
+    if not 0.0 < alpha_w < math.inf:
+        raise ValueError("alpha_w must be finite and positive")
+    if not 0.0 <= alpha_p < math.inf:
+        raise ValueError("alpha_p must be finite and nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
     shape = rhs.shape
     h, w = shape[-2:]

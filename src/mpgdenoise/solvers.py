@@ -657,8 +657,8 @@ def tv_kl_solve(f, lam: float, cfg: SolverConfig, truth=None):
     ``f`` may be a stack, as in :func:`bca_solve`.
     """
     f, solo = _as_stack(f)
-    if not lam > 0.0:
-        raise DomainError("fidelity weight must be positive")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("fidelity weight must be finite and positive")
     if np.min(f) < 0.0:
         raise DomainError("Poisson fidelity needs a nonnegative observation")
     rho = cfg.alpha

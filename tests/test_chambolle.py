@@ -1,5 +1,7 @@
 """Dual-projection TV-L2 solver and the vector shrinkage operator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ def test_weight_must_be_positive():
         tv_l2_denoise(np.zeros((4, 4)), 0.0)
     with pytest.raises(DomainError):
         tv_l2_denoise(np.zeros((4, 4)), -2.0)
+
+
+@pytest.mark.parametrize("weight", [math.inf, math.nan])
+def test_weight_must_be_finite(weight):
+    """An infinite weight is rejected up front, not run into a NaN ``u``."""
+    with pytest.raises(DomainError, match="^fidelity weight must be finite and positive$"):
+        tv_l2_denoise(np.ones((4, 4)), weight)
 
 
 # ---------------------------------------------------------------------------

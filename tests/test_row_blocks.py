@@ -2,7 +2,6 @@
 temporaries of block size at 1024^2."""
 
 import contextlib
-import threading
 
 import numpy as np
 import pytest
@@ -141,7 +140,7 @@ def test_blocks_equal_one_block_property(stack, h, w, depth, n, warm_start, seed
 
 
 # ---------------------------------------------------------------------------
-# two sweeps on two threads
+# one sweep on the calling thread, on any core count
 
 
 @pytest.fixture
@@ -149,21 +148,8 @@ def cores(monkeypatch):
     return lambda n: monkeypatch.setattr(grid, "_usable_cores", lambda: n)
 
 
-def threads_of_steps(monkeypatch):
-    """Patch ``chambolle._steps`` to record the thread of each call."""
-    real = chambolle._steps
-    threads = []
-
-    def spy(*args):
-        threads.append(threading.current_thread())
-        return real(*args)
-
-    monkeypatch.setattr(chambolle, "_steps", spy)
-    return threads
-
-
 @pytest.mark.parametrize("shape", [(40, 7), (200, 3), (3, 40, 5), (157, 1)])
-def test_one_and_two_sweeps_give_the_bytes_of_one_block(shape, cores, monkeypatch):
+def test_core_count_changes_no_byte_and_no_block(shape, cores):
     rng = np.random.default_rng(shape[-1])
     g = rng.uniform(0, 1, shape)
     warm = rng.normal(0, 0.4, grid.field_shape(shape))
@@ -171,19 +157,16 @@ def test_one_and_two_sweeps_give_the_bytes_of_one_block(shape, cores, monkeypatc
     cores(1)
     u1, d1, blocks1 = tv_run(g, 2, warm, SMALL_BLOCK)
     cores(2)
-    threads = threads_of_steps(monkeypatch)
     u2, d2, blocks2 = tv_run(g, 2, warm, SMALL_BLOCK)
     assert u1.tobytes() == u2.tobytes() == u.tobytes()
     assert d1.tobytes() == d2.tobytes() == d.tobytes()
-    # blocks at most half as tall, the upper half of them on a second thread
-    assert 1 < blocks1 <= blocks2
-    assert len(set(threads)) == 2
-    assert threads.count(threading.current_thread()) == blocks2 - blocks2 // 2
+    assert 1 < blocks1 == blocks2
 
 
 def test_sweep_thread_takes_the_callers_error_state(cores):
-    """``weight * g`` overflows in the top block only, which the second
-    thread runs; it raises there under the caller's ``over="raise"``."""
+    """``weight * g`` overflows in the top block only; the sweep runs on the
+    calling thread, so it raises there under the caller's ``over="raise"``,
+    on two usable cores as on one."""
     cores(2)
     g = np.random.default_rng(1).uniform(0, 1, (200, 7))
     g[0, 0] = 1e308
@@ -192,23 +175,24 @@ def test_sweep_thread_takes_the_callers_error_state(cores):
             tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=2))
 
 
-@pytest.mark.parametrize("on_worker", [False, True])
-def test_sweep_exception_reaches_the_caller(cores, monkeypatch, on_worker):
+def test_block_exception_reaches_the_caller(cores, monkeypatch):
+    """A block that raises ends the sweep: the exception reaches the caller
+    and no later block runs."""
     cores(2)
     real = chambolle._steps
-    caller = threading.current_thread()
+    calls = []
 
     def failing(*args):
-        if (threading.current_thread() is not caller) == on_worker:
-            raise RuntimeError("a sweep fails")
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("a block fails")
         return real(*args)
 
     monkeypatch.setattr(chambolle, "_steps", failing)
-    start = threading.active_count()
     g = np.random.default_rng(2).uniform(0, 1, (200, 7))
-    with block_pixels(SMALL_BLOCK), pytest.raises(RuntimeError, match="a sweep fails"):
+    with block_pixels(SMALL_BLOCK), pytest.raises(RuntimeError, match="a block fails"):
         tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=2))
-    assert threading.active_count() == start
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

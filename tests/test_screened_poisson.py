@@ -58,6 +58,15 @@ def test_weight_validation():
     solve_screened_poisson(rhs, 1.0, 0.0)  # alpha_p = 0 is legal
 
 
+def test_infinite_weights_rejected():
+    """Rejected up front, not solved into NaN (alpha_p) or zeros (alpha_w)."""
+    rhs = np.ones((4, 4))
+    with pytest.raises(ValueError, match="^alpha_w must be finite and positive$"):
+        solve_screened_poisson(rhs, np.inf, 1.0)
+    with pytest.raises(ValueError, match="^alpha_p must be finite and nonnegative$"):
+        solve_screened_poisson(rhs, 1.0, np.inf)
+
+
 @pytest.mark.parametrize("shape", [(256, 256), (192, 192), (37, 50), (8, 8), (1, 7), (7, 1), (1, 1)])
 @pytest.mark.parametrize("alpha_w, alpha_p", [(2.3, 17.0), (150.0, 40.0), (1e-3, 5.0)])
 def test_matches_scipy_dct_solve(shape, alpha_w, alpha_p):

@@ -9,8 +9,10 @@ system they claim to solve.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -639,9 +641,31 @@ def loop_input(size=32, seed=1):
 LOOP_CFG = SolverConfig(lambda1=8.0, lambda2=2.5, xi=1e-20, max_iters=5)
 
 
-@pytest.mark.parametrize("method", ["bca", "bcaf"])
-def test_a_large_bilinear_solve_starts_no_thread(method, monkeypatch):
-    """With two usable cores a 192x192 solve still takes every record on the
+#: small enough that a 192x192 TV dual step runs in row blocks
+ROW_BLOCKS = 192 * 48
+
+#: the methods that run TV dual steps (bcaf's u step is a screened-Poisson
+#: solve, so on bcaf the block size changes nothing)
+TV_METHODS = {"bca", "tvl2", "tvkl"}
+
+
+def block_heights(monkeypatch):
+    """Patch ``chambolle._steps`` to record the height of each block it runs."""
+    real = mpgdenoise.chambolle._steps
+    heights = []
+
+    def steps(g, *args):
+        heights.append(g.shape[-2])
+        return real(g, *args)
+
+    monkeypatch.setattr(mpgdenoise.chambolle, "_steps", steps)
+    return heights
+
+
+@pytest.mark.parametrize("method", ["bca", "bcaf", "tvl2", "tvkl"])
+def test_a_large_solve_starts_no_thread(method, monkeypatch):
+    """With two usable cores a 192x192 solve whose TV dual steps run in row
+    blocks starts no thread: the blocks and every record are taken on the
     calling thread."""
     started = []
     real_start = threading.Thread.start
@@ -651,10 +675,48 @@ def test_a_large_bilinear_solve_starts_no_thread(method, monkeypatch):
         return real_start(thread)
 
     monkeypatch.setattr(mpgdenoise.grid, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(mpgdenoise.grid, "BLOCK_PIXELS", ROW_BLOCKS)
     monkeypatch.setattr(threading.Thread, "start", start)
+    heights = block_heights(monkeypatch)
     f, truth = loop_input(192)
     _, trace = run_method(method, f, LOOP_CFG, truth)
     assert len(trace) == LOOP_CFG.max_iters and started == []
+    assert (method in TV_METHODS) == bool(heights) and all(h < 192 for h in heights)
+
+
+@pytest.mark.parametrize("path", ["one-block", "row-blocks"])
+@pytest.mark.parametrize("method", ["bca", "bcaf", "tvl2", "tvkl"])
+def test_seconds_has_one_meaning_on_every_path(method, path, monkeypatch):
+    """Under a clock whose reads return 0, 1, 2, ... a record's ``seconds``
+    is the number of iterations done: the clock is read once per iteration,
+    on the calling thread, whether the image is solved alone or as a stack
+    of one, and whether its TV dual steps run in one block or in row
+    blocks."""
+    if path == "row-blocks":
+        monkeypatch.setattr(mpgdenoise.grid, "BLOCK_PIXELS", ROW_BLOCKS)
+    heights, readers = block_heights(monkeypatch), []
+
+    def counting_clock():
+        ticks = itertools.count()
+
+        def perf_counter():
+            readers.append(threading.current_thread() is threading.main_thread())
+            return float(next(ticks))
+
+        return SimpleNamespace(perf_counter=perf_counter)
+
+    f, truth = loop_input(192)
+    monkeypatch.setattr(solvers, "time", counting_clock())
+    _, trace = run_method(method, f, LOOP_CFG, truth)
+    monkeypatch.setattr(solvers, "time", counting_clock())
+    _, traces = run_method(method, f[None], LOOP_CFG, truth)
+    assert [r.seconds for r in trace] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert traces[0][-1].seconds == trace[-1].seconds
+    assert readers and all(readers)
+    if method not in TV_METHODS:
+        assert heights == []
+    else:  # the path under test ran
+        assert heights and all((h < 192) == (path == "row-blocks") for h in heights)
 
 
 @pytest.mark.parametrize("method", ["bca", "bcaf"])
@@ -854,6 +916,16 @@ def test_tv_kl_baseline_constant_and_domain():
         tv_kl_solve(bad, 3.0, cfg)
     with pytest.raises(DomainError):
         tv_kl_solve(f, -1.0, cfg)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_tv_kl_rejects_a_non_finite_weight_up_front(lam, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solvers, "tv_l2_denoise", lambda *args, **kw: calls.append(None))
+    f = np.maximum(corrupt(make_phantom("circles", 16, 16), NoiseSpec(eta=4.0, sigma=1e-2, seed=1)), 0.0)
+    with pytest.raises(DomainError, match="^fidelity weight must be finite and positive$"):
+        tv_kl_solve(f, lam, SolverConfig())
+    assert calls == []
 
 
 def test_every_solver_stops_at_the_first_small_step():
