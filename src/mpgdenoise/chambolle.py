@@ -98,7 +98,7 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
         for the next call.
 
     A stack gives each image the bytes of its own solve.  The work arrays
-    are allocated once per block and every step runs in place on them, so
+    are allocated once per call and every step runs in place on them, so
     the result is bit-identical to evaluating the update formula with fresh
     arrays.  The steps take ``TAU`` into ``z = TAU (div q - weight g)``
     before its gradient, so ``t = TAU grad(div q - weight g)`` and the
@@ -114,13 +114,12 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     block carries it: a blocked one returns ``div = None`` and holds no
     image past its return.
 
-    With ``G = inner_iters + 1`` ghost rows, a stack of ``B`` images of width
-    ``W`` is worked in one block (on the dual itself) whenever its height is
-    at most ``max(4 G, BLOCK_PIXELS // (B W)) + 2 G``.  A taller one is worked
-    in blocks of ``max(4 G, BLOCK_PIXELS // (B W))`` rows, in one sweep from
-    the top on the calling thread.  Each block runs every step on a copy of
-    its dual rows widened by ``G`` on either side, then writes back only its
-    own rows of ``u`` and of the dual; the bytes are those of one block.
+    The rows run in the :func:`grid.row_blocks` of ``B W`` values a row (a
+    stack of ``B`` images of width ``W``) and ``inner_iters + 1`` ghost rows
+    on either side, in one sweep from the top on the calling thread.  Each
+    of several blocks runs every step on a copy of the dual rows it reads,
+    then writes back only its own rows of ``u`` and of the dual; one block
+    runs on the dual itself.  The bytes are those of one block.
     """
     if cfg is None:
         cfg = ChambolleConfig()
@@ -139,8 +138,8 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     steps, h = cfg.inner_iters, g.shape[-2]
     ghost = steps + 1
     row_values = g.size // h
-    rows = max(4 * ghost, grid.BLOCK_PIXELS // row_values)
-    if h <= rows + 2 * ghost:
+    blocks = grid.row_blocks(h, row_values, ghost, ghost)
+    if len(blocks) == 1:
         if carry and div is None:
             div = divergence(q)
         u = _steps(g, weight, q, steps, div)
@@ -151,18 +150,14 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     # of one _steps call; the next block's slab overlaps this block's own
     # rows, so it is copied into the spare buffer before they are written back
     u = np.empty(g.shape)
-    size = (rows + 2 * ghost) * row_values
+    reads = [read for _, read in blocks] + [(h, h)]
+    size = max(s1 - s0 for s0, s1 in reads) * row_values
     work, slab, spare = np.empty(_STEP_ARRAYS * size), np.empty(2 * size), np.empty(2 * size)
-    s1 = min(rows + ghost, h)
-    np.copyto(_rows_of(slab, q.shape, s1), q[..., :s1, :])
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
-        s0, s1 = max(r0 - ghost, 0), min(r1 + ghost, h)
+    np.copyto(_rows_of(slab, q.shape, reads[0][1]), q[..., : reads[0][1], :])
+    for ((r0, r1), (s0, s1)), (n0, n1) in zip(blocks, reads[1:]):
         block_q = _rows_of(slab, q.shape, s1 - s0)
         _steps(g[..., s0:s1, :], weight, block_q, steps, None, slice(r0 - s0, r1 - s0), u[..., r0:r1, :], work)
-        if r1 < h:
-            n0, n1 = r1 - ghost, min(r1 + rows + ghost, h)
-            np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
+        np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
         q[..., r0:r1, :] = block_q[..., r0 - s0 : r1 - s0, :]
         slab, spare = spare, slab
     return (u, q, None) if carry else (u, q)
@@ -243,7 +238,7 @@ def soft_threshold(q, eta, out=None):
     The result goes into a new array, or into ``out`` when given (which may
     be ``q`` itself).
     """
-    if eta < 0.0:
+    if not eta >= 0.0:  # NaN fails it too
         raise DomainError("shrinkage threshold must be nonnegative")
     mag = magnitude(q)
     scl = mag - eta

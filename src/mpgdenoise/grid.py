@@ -19,15 +19,13 @@ negative adjoint of the gradient, ``<grad u, q> = -<u, div q>`` for every
 ``u`` and ``q``, which the dual-projection TV solver relies on.  The operator
 norm of the gradient satisfies ``||grad||^2 <= 8``.
 
-Above :data:`BLOCK_PIXELS` the image-sized work of a TV dual step, of TV(u),
-of SSIM and of the divergence's y part runs in row blocks: each block spans
-``BLOCK_PIXELS // n`` rows, where ``n`` is the number of values one row of
-the operand it sweeps holds (``B * W`` for a stack of ``B`` images, ``2 * W``
-for a gradient field or an image pair), plus the halo rows its stencil reads.
-Every pixel gets the same operations as without blocks, so the bytes do not
-change; only the temporaries shrink to block size.  The blocks run in one
-sweep on the calling thread.  The same rule sets the one second-core
-mechanism in the package's own work: on two or more usable cores
+Above :data:`BLOCK_PIXELS` the image-sized work of a TV dual step, of TV(u)
+and of SSIM runs in row blocks with the halo rows its stencil reads, and
+:func:`row_blocks` is the one place that sizes them.  Every pixel gets the
+same operations as without blocks, so the bytes do not change; only the
+temporaries shrink to block size.  The blocks run in one sweep on the
+calling thread.  The same threshold sets the one second-core mechanism in
+the package's own work: on two or more usable cores
 (:func:`_usable_cores`), float-text reads and writes of more than
 ``BLOCK_PIXELS`` samples run half in a forked child (see
 :mod:`mpgdenoise.fileio`).
@@ -43,6 +41,20 @@ import numpy as np
 #: the one block-size rule: work above this many values runs in row blocks,
 #: and float text, on two or more usable cores, in two halves at once
 BLOCK_PIXELS = 2**17
+
+
+def row_blocks(h: int, row_values: int, above: int = 0, below: int = 0) -> list:
+    """Row blocks, top to bottom, of a sweep over ``h`` rows of ``row_values``
+    values whose stencil reads ``above`` rows above a row and ``below`` below
+    it: pairs of a block's own rows ``(r0, r1)`` and the rows it reads,
+    ``(max(r0 - above, 0), min(r1 + below, h))``.  Blocks span ``rows =
+    max(2 (above + below), BLOCK_PIXELS // row_values, 1)`` rows (the last
+    what is left), so a halo is at most a third of what a block reads; there
+    is one block when ``h <= rows + above + below``."""
+    rows = max(2 * (above + below), BLOCK_PIXELS // row_values, 1)
+    if h <= rows + above + below:
+        rows = h
+    return [((r0, min(r0 + rows, h)), (max(r0 - above, 0), min(r0 + rows + below, h))) for r0 in range(0, h, rows)]
 
 
 def _usable_cores() -> int:
@@ -146,8 +158,8 @@ def divergence(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     entry of ``q`` never contributes, mirroring the zero the gradient puts
     there.  The x part is written into a new image array, or into ``out``
     when given (which must not overlap ``q``), and the y part is added to it
-    in place, in row chunks of at most ``BLOCK_PIXELS`` values; returns that
-    array.
+    in place; returns that array.  The TV dual step takes it block by block
+    (see :func:`row_blocks`).
     """
     d = np.empty(q.shape[:-3] + q.shape[-2:]) if out is None else out
     return _divergence_of(q, d)()
@@ -159,9 +171,8 @@ def _divergence_of(q: np.ndarray, d: np.ndarray, dy: np.ndarray | None = None):
 
     Its views of ``q`` and ``d`` are made here, once, for a caller that
     takes the divergence of one field many times.  ``dy``, an array of
-    ``d``'s shape overlapping neither, takes the y differences in one pass;
-    without it they go to temporaries of at most ``BLOCK_PIXELS`` values.
-    The bytes are the same either way.
+    ``d``'s shape overlapping neither, takes the y differences; without it
+    they go to a new temporary.  The bytes are the same either way.
     """
     qx, qy = q[..., 0, :, :], q[..., 1, :, :]
     h, w = qx.shape[-2:]
@@ -174,12 +185,8 @@ def _divergence_of(q: np.ndarray, d: np.ndarray, dy: np.ndarray | None = None):
         near, near_q, far, far_q = d[..., 0], qx[..., 0], d[..., w - 1], qx[..., w - 2]
     if h > 1:
         top, top_q, bottom, bottom_q = d[..., 0, :], qy[..., 0, :], d[..., h - 1, :], qy[..., h - 2, :]
-        step = h if dy is not None else max(1, BLOCK_PIXELS // (d.size // h))
-        y_diffs = []
-        for r0 in range(1, h - 1, step):
-            r1 = min(r0 + step, h - 1)
-            diff = None if dy is None else dy[..., r0:r1, :]
-            y_diffs.append((d[..., r0:r1, :], qy[..., r0:r1, :], qy[..., r0 - 1 : r1 - 1, :], diff))
+        inner, upper, lower = d[..., 1 : h - 1, :], qy[..., 1 : h - 1, :], qy[..., 0 : h - 2, :]
+        diff = None if dy is None else dy[..., 1 : h - 1, :]
 
     def run() -> np.ndarray:
         if w > 1:
@@ -192,8 +199,7 @@ def _divergence_of(q: np.ndarray, d: np.ndarray, dy: np.ndarray | None = None):
             d[...] = 0.0
         if h > 1:
             np.add(top, top_q, out=top)
-            for rows, upper, lower, diff in y_diffs:
-                rows += np.subtract(upper, lower, out=diff)
+            np.add(inner, np.subtract(upper, lower, out=diff), out=inner)
             np.subtract(bottom, bottom_q, out=bottom)
         return d
 
@@ -233,30 +239,27 @@ def laplacian(u: np.ndarray) -> np.ndarray:
 def total_variation(u: np.ndarray) -> float:
     """Isotropic total variation: sum over pixels of |grad u|.
 
-    When ``u`` spans more than ``BLOCK_PIXELS // (2 W)`` rows (its gradient
-    holds ``2 W`` values per row, ``W`` being the width times the stack
-    size), ``|grad u|`` is written into one image in row blocks of that many
-    rows, each reading one halo row below it, instead of from a whole
-    gradient field; the one sum then runs over the same contiguous values,
-    so the result has the same bits.
+    In more than one of the :func:`row_blocks` of its gradient (``2 W``
+    values a row, ``W`` being the width times the stack size, and one halo
+    row below), ``|grad u|`` is written into one image block by block
+    instead of from a whole gradient field; the one sum then runs over the
+    same contiguous values, so the result has the same bits.
     """
     h = u.shape[-2]
-    rows = max(1, BLOCK_PIXELS // (2 * (u.size // h)))
-    if h <= rows:
+    blocks = row_blocks(h, 2 * (u.size // h), below=1)
+    if len(blocks) == 1:
         return float(magnitude(gradient(u)).sum())
     mag = np.empty(u.shape)
-    dy = np.empty(u.shape[:-2] + (rows, u.shape[-1]))
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
+    dy = np.empty(u.shape[:-2] + (blocks[0][0][1], u.shape[-1]))
+    for (r0, r1), (_, s1) in blocks:
         m = mag[..., r0:r1, :]
         # the steps of magnitude(gradient(u)) on these rows: x part squared,
         # plus the y part squared (zero on the last row), then the root
         np.subtract(u[..., r0:r1, 1:], u[..., r0:r1, :-1], out=m[..., :-1])
         m[..., -1] = 0.0
         np.square(m, out=m)
-        e = min(r1, h - 1)
-        d = np.subtract(u[..., r0 + 1 : e + 1, :], u[..., r0:e, :], out=dy[..., : e - r0, :])
-        m[..., : e - r0, :] += np.square(d, out=d)
+        d = np.subtract(u[..., r0 + 1 : s1, :], u[..., r0 : s1 - 1, :], out=dy[..., : s1 - 1 - r0, :])
+        m[..., : s1 - 1 - r0, :] += np.square(d, out=d)
         np.sqrt(m, out=m)
     return float(mag.sum())
 

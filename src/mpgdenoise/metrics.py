@@ -90,11 +90,10 @@ def ssim(a, b) -> float:
     1-D Gaussian, along rows and then along columns, which equals the 2-D
     correlation up to rounding.
 
-    When the valid region spans more than ``BLOCK_PIXELS // (2 W)`` rows
-    (the pair holds ``2 W`` values per row), the per-pixel map is written
-    into one valid-region map in row blocks of that many rows, each reading
-    the 10 halo rows below it; the one mean then runs over the same
-    contiguous values, so the result has the same bits.
+    The per-pixel map is written into one valid-region map block by block,
+    over the :func:`grid.row_blocks` of the pair (``2 W`` values a row, the
+    window's 10 rows below as halo), each block giving the windows that
+    start on its own rows; its one mean has the bits of one block.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -107,19 +106,15 @@ def ssim(a, b) -> float:
             f"image dims {a.shape} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
     (h, w), halo = a.shape, SSIM_WINDOW - 1
-    rows = max(1, grid.BLOCK_PIXELS // (2 * w))
-    if h - halo <= rows:
-        return float(np.mean(_ssim_map(a, b)))
     ssim_map = np.empty((h - halo, w - halo))
-    for r0 in range(0, h - halo, rows):
-        r1 = min(r0 + rows, h - halo)
-        _ssim_map(a[r0 : r1 + halo], b[r0 : r1 + halo], out=ssim_map[r0:r1])
+    for (r0, _), (_, s1) in grid.row_blocks(h, 2 * w, below=halo):
+        if r0 < h - halo:  # a block in the last 10 rows starts no window
+            _ssim_map(a[r0:s1], b[r0:s1], out=ssim_map[r0 : s1 - halo])
     return float(np.mean(ssim_map))
 
 
-def _ssim_map(a, b, out=None):
-    """The SSIM of every full window of ``a`` and ``b``, into a new array or
-    ``out``."""
+def _ssim_map(a, b, out):
+    """The SSIM of every full window of ``a`` and ``b``, into ``out``."""
     g = _gaussian_window(SSIM_WINDOW)
     mu_a = _smooth(a, g)
     mu_b = _smooth(b, g)

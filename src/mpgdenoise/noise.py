@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,8 @@ class NoiseSpec:
             raise ValueError("eta must be finite and positive")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError("sigma must be finite and nonnegative")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
 
 
 # Cephes ndtri: P0/Q0 for |y - 1/2| <= 1/2 - e^-2; P1/Q1 and P2/Q2 in the

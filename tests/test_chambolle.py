@@ -318,6 +318,7 @@ def test_soft_threshold_nonexpansive():
         assert lhs <= rhs * (1.0 + 1e-12)
 
 
-def test_soft_threshold_negative_eta_rejected():
+@pytest.mark.parametrize("eta", [-0.1, float("nan")])
+def test_soft_threshold_negative_eta_rejected(eta):
     with pytest.raises(DomainError):
-        soft_threshold(np.zeros((2, 2, 2)), -0.1)
+        soft_threshold(np.zeros((2, 2, 2)), eta)

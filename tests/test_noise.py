@@ -21,7 +21,10 @@ def test_spec_validation():
         NoiseSpec(eta=-2.0, sigma=0.1)
     with pytest.raises(ValueError):
         NoiseSpec(eta=1.0, sigma=-1e-9)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        NoiseSpec(eta=4.0, sigma=0.1, seed=1.5)
     NoiseSpec(eta=1.0, sigma=0.0)
+    NoiseSpec(eta=1.0, sigma=0.0, seed=np.int64(3))
 
 
 @pytest.mark.parametrize("eta, sigma, message", [

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 
 from mpgdenoise import chambolle, grid
 from mpgdenoise.chambolle import ChambolleConfig, tv_l2_denoise
-from mpgdenoise.metrics import ssim
+from mpgdenoise.metrics import SSIM_WINDOW, ssim
 
 #: small enough that the shapes below take several blocks
 SMALL_BLOCK = 64
@@ -59,6 +59,48 @@ def one_block_height(width, depth, stack=1):
     """The largest height ``tv_l2_denoise`` runs in one block at SMALL_BLOCK."""
     ghost = depth + 1
     return max(4 * ghost, SMALL_BLOCK // (stack * width)) + 2 * ghost
+
+
+# ---------------------------------------------------------------------------
+# the block rule
+
+
+@given(
+    h=hst.integers(1, 400),
+    row_values=hst.integers(1, 300),
+    above=hst.integers(0, 12),
+    below=hst.integers(0, 12),
+    n=hst.integers(1, 2**12),
+)
+@settings(max_examples=300, deadline=None)
+def test_row_blocks_tile_the_rows(h, row_values, above, below, n):
+    """The own rows tile ``[0, h)`` in order; each read span is the own
+    rows widened by the halo and clipped; one block exactly when ``h <= rows
+    + above + below``."""
+    with block_pixels(n):
+        blocks = grid.row_blocks(h, row_values, above, below)
+    rows = max(2 * (above + below), n // row_values, 1)
+    assert (len(blocks) == 1) == (h <= rows + above + below)
+    end = 0
+    for (r0, r1), (s0, s1) in blocks:
+        assert r0 == end < r1
+        assert (s0, s1) == (max(r0 - above, 0), min(r1 + below, h))
+        if len(blocks) > 1:
+            assert r1 - r0 == rows or r1 == h
+        end = r1
+    assert end == h
+
+
+def test_row_blocks_at_1024():
+    """The geometry the 1024^2 memory tests and the cli-1024 benchmark rely
+    on: the TV step at depths 2 and 10 (ghosts 3 and 11) in 8 blocks of 128
+    rows, TV(u) and SSIM (2 W values a row) in blocks of 64."""
+    for ghost in (3, 11):
+        blocks = grid.row_blocks(1024, 1024, ghost, ghost)
+        assert [own for own, _ in blocks] == [(r0, r0 + 128) for r0 in range(0, 1024, 128)]
+    for halo in (1, SSIM_WINDOW - 1):
+        blocks = grid.row_blocks(1024, 2048, below=halo)
+        assert [own for own, _ in blocks] == [(r0, r0 + 64) for r0 in range(0, 1024, 64)]
 
 
 # ---------------------------------------------------------------------------
