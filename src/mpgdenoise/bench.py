@@ -162,21 +162,10 @@ def _run_cells(truth, image_label, nspec, label, method, cfg, seeds):
     that raises, each of two or more cells is solved again alone, as a
     stack of one, so a failing cell gets its own status row.
     """
-    rows = [
-        {
-            "image": image_label,
-            "eta": f"{nspec.eta:g}",
-            "sigma": f"{nspec.sigma:g}",
-            "solver": label,
-            "seed": seed,
-            "iters": "",
-            "snr": "",
-            "ssim": "",
-            "seconds": "",
-            "status": "ok",
-        }
-        for seed in seeds
-    ]
+    # every column in RESULT_HEADER's order, blank until the cell is solved
+    cell = dict.fromkeys(RESULT_HEADER, "")
+    cell.update(image=image_label, eta=f"{nspec.eta:g}", sigma=f"{nspec.sigma:g}", solver=label, status="ok")
+    rows = [{**cell, "seed": seed} for seed in seeds]
 
     def observe(seed):
         return corrupt(truth, NoiseSpec(eta=nspec.eta, sigma=nspec.sigma, seed=seed))

@@ -12,19 +12,21 @@ pointwise length at most one):
 
 The step size ``tau`` is the constant ``TAU = 0.25``, which keeps the
 iteration stable because the discrete gradient has squared operator norm at
-most 8.  The dual field is updated in place and returned, so callers that
-solve a sequence of slowly-changing problems (the outer ADMM loops here) can
-warm-start without copying it; two consecutive warm-started calls compose
-into one longer run of the same iteration, exactly.
+most 8.  Every call returns ``(u, dual, div)``.  The dual field is updated
+in place and returned, so callers that solve a sequence of slowly-changing
+problems (the outer ADMM loops here) can warm-start without copying it; two
+consecutive warm-started calls compose into one longer run of the same
+iteration, exactly.  ``div`` is ``div(dual)``, the divergence ``u`` was made
+from, or ``None`` from a call worked in row blocks.
 
 Each step does only the arithmetic of the update.  ``tau`` is taken into
 ``z = tau (div q - weight g)`` before its gradient, so ``t = grad z``
 already carries it and the step is ``q <- (q + t) / (1 + |t|)``: with
 ``tau = 2^-2`` that scaling rounds nothing, and the bytes are those of the
 formula as long as no intermediate value is subnormal.  The divergence's
-views are made once per call (:func:`grid._divergence_of`), and the last
-divergence of a call, which ``u`` reads, is handed to the next call of the
-same solve as its first (see :func:`tv_l2_denoise`'s ``div``).
+views are made once per call (:func:`grid._divergence_of`), and the returned
+``div`` is handed to the next call of the same solve as its first divergence
+(see :func:`tv_l2_denoise`).
 
 Each step is a one-row stencil: the divergence reads the row above, the
 gradient the row below.  So a large image is worked in row blocks (above
@@ -71,31 +73,27 @@ class ChambolleConfig:
             raise ValueError("inner_iters must be an integer >= 1")
 
 
-#: the default of :func:`tv_l2_denoise`'s ``div``: no divergence carried
-_NO_CARRY = object()
-
-
-def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
+def tv_l2_denoise(g, weight, cfg=None, dual=None, div=None):
     """Run ``cfg.inner_iters`` dual-projection steps on the TV-L2 problem.
 
     Args:
-        g: observation image ``(H, W)``, or a stack ``(B, H, W)`` of them.
+        g: observation image ``(H, W)``, or a stack ``(B, H, W)`` of them;
+            one with no pixel is a ``ValueError``.
         weight: positive finite fidelity weight (larger -> closer to ``g``).
         cfg: ChambolleConfig; defaults to ``ChambolleConfig()``.
         dual: the dual field to start from and update in place, a float64
             array of ``field_shape(g.shape)``; ``None`` starts from the zero
             field in a new array.
-        div: passed, it carries ``div(dual)`` from one call to the next:
-            ``None`` when none is held (a solve's first call), else the
-            ``div`` that the previous call on this ``dual`` returned, the
-            dual unwritten since.  Not passed, the call takes the
-            divergence itself and returns two values.
+        div: ``div(dual)``, carried from one call to the next: the ``div``
+            that the previous call on this ``dual`` returned, the dual
+            unwritten since, or ``None`` (the default) when none is held,
+            as on a solve's first call.
 
     Returns:
-        (u, dual): the primal estimate ``g - (1/weight) * div(dual)`` and the
-        dual field itself, for later warm starts; ``(u, dual, div)`` when
-        ``div`` is passed, with ``div`` the divergence of the updated dual
-        for the next call.
+        (u, dual, div): the primal estimate ``g - (1/weight) * div(dual)``,
+        the dual field itself, for later warm starts, and ``div``, the
+        divergence of the updated dual that ``u`` was made from, for the
+        next call; ``div`` is ``None`` when the call ran in row blocks.
 
     A stack gives each image the bytes of its own solve.  The work arrays
     are allocated once per call and every step runs in place on them, so
@@ -107,11 +105,11 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     as long as no intermediate value is subnormal.
 
     The last divergence of the steps, ``div(dual)`` for ``u``, is the first
-    one the next call needs.  A call given ``div`` starts from it and leaves
-    the new one in the same array (so ``bca`` takes two divergences per
-    outer iteration, not three); a call that asks for the carry but holds
-    none takes it by :func:`grid.divergence`.  Only a call worked in one
-    block carries it: a blocked one returns ``div = None`` and holds no
+    one the next call needs.  A call worked in one block starts from the
+    ``div`` it is given, or from :func:`grid.divergence` of the dual when
+    given none, and leaves the new one in that array (so ``bca`` takes two
+    divergences per outer iteration, not three).  A call worked in row
+    blocks takes its own divergences, returns ``div = None`` and holds no
     image past its return.
 
     The rows run in the :func:`grid.row_blocks` of ``B W`` values a row (a
@@ -126,11 +124,9 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     if not 0.0 < weight < math.inf:
         raise DomainError("fidelity weight must be finite and positive")
     g = np.asarray(g, dtype=np.float64)
+    grid._nonempty(g.shape)
     q = np.zeros(field_shape(g.shape)) if dual is None else _writable("dual", dual, field_shape(g.shape))
-    carry = div is not _NO_CARRY
-    if not carry:
-        div = None
-    elif div is not None:
+    if div is not None:
         if dual is None:
             raise ValueError("div needs the dual it is the divergence of")
         div = _writable("div", div, g.shape)
@@ -140,10 +136,9 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
     row_values = g.size // h
     blocks = grid.row_blocks(h, row_values, ghost, ghost)
     if len(blocks) == 1:
-        if carry and div is None:
+        if div is None:
             div = divergence(q)
-        u = _steps(g, weight, q, steps, div)
-        return (u, q, div) if carry else (u, q)
+        return _steps(g, weight, q, steps, div), q, div
     # u before the block buffers: in the other order, glibc's heap kept one
     # more image resident over a run of calls (cli-1024 peaked 7 MB higher).
     # A block runs on a copy of its dual rows (the slab) with the work arrays
@@ -160,7 +155,7 @@ def tv_l2_denoise(g, weight, cfg=None, dual=None, div=_NO_CARRY):
         np.copyto(_rows_of(spare, q.shape, n1 - n0), q[..., n0:n1, :])
         q[..., r0:r1, :] = block_q[..., r0 - s0 : r1 - s0, :]
         slab, spare = spare, slab
-    return (u, q, None) if carry else (u, q)
+    return u, q, None
 
 
 def _writable(name, a, shape):
@@ -186,19 +181,19 @@ def _rows_of(buf, shape, n):
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _steps(g, weight, q, steps, div=None, own=slice(None), out=None, work=None):
+def _steps(g, weight, q, steps, div, own=slice(None), out=None, work=None):
     """``steps`` dual steps on ``q`` in place; returns rows ``own`` of
-    ``g - (1/weight) div q``, in a new array or ``out``.  The work arrays
-    are views of the flat array ``work`` when given (``_STEP_ARRAYS`` images
-    of ``g``'s size at least), else new.  ``div``, an image array holding
-    ``div q``, is taken as ``z``: the steps start from it and leave the
-    divergence of the updated ``q`` in it."""
+    ``g - (1/weight) div q``, in a new array or ``out``.  Either ``div``, an
+    image array holding ``div q``, is given and taken as ``z``, with the
+    other work arrays new; or (a row block) ``work`` is, a flat array of
+    ``_STEP_ARRAYS`` images of ``g``'s size at least that holds them all,
+    and the steps first take ``div q`` into its ``z``.  Either way they
+    leave the divergence of the updated ``q`` in ``z``."""
     # work arrays: z = TAU*(div q - weight*g) (then scratch for t_y^2, then
     # div q), t = grad z, m = 1 + |t| (then the divergence's y differences),
     # seen by q through m_q
     if work is None:
-        wg, m, t = weight * g, np.empty(g.shape), np.empty(q.shape)
-        z = np.empty(g.shape) if div is None else div
+        wg, z, m, t = weight * g, div, np.empty(g.shape), np.empty(q.shape)
     else:
         n = g.size
         wg = np.multiply(weight, g, out=work[:n].reshape(g.shape))

@@ -100,6 +100,13 @@ def as_images(a) -> np.ndarray:
     return _finite(arr if arr.ndim == 2 else np.ascontiguousarray(arr))
 
 
+def _nonempty(shape: tuple) -> None:
+    """``ValueError`` naming ``shape`` when an image or stack of that shape
+    has no pixel; it reads the shape only, not the data."""
+    if 0 in shape:
+        raise ValueError(f"expected a non-empty image or stack of images, got shape {shape}")
+
+
 def _finite(arr):
     # min and max are NaN if an entry is NaN and infinite if one is: two
     # passes, with no image-sized mask
@@ -135,8 +142,10 @@ def gradient(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     Every entry is written into a new field array or into ``out`` when given
     (which must not overlap ``u``), and ends with the value of its own
-    difference; returns that array.
+    difference; returns that array.  An image with no pixel is a
+    ``ValueError``.
     """
+    _nonempty(u.shape)
     q = np.empty(field_shape(u.shape)) if out is None else out
     qx = q[..., 0, :, :]
     uf, qxf = _joined_rows(u), _joined_rows(qx)
@@ -243,8 +252,10 @@ def total_variation(u: np.ndarray) -> float:
     values a row, ``W`` being the width times the stack size, and one halo
     row below), ``|grad u|`` is written into one image block by block
     instead of from a whole gradient field; the one sum then runs over the
-    same contiguous values, so the result has the same bits.
+    same contiguous values, so the result has the same bits.  An image with
+    no pixel is a ``ValueError``.
     """
+    _nonempty(u.shape)
     h = u.shape[-2]
     blocks = row_blocks(h, 2 * (u.size // h), below=1)
     if len(blocks) == 1:

@@ -44,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .grid import _nonempty
+
 
 def _neg_laplacian_eigenvalues(n: int) -> np.ndarray:
     return 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)
@@ -160,7 +162,8 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
 
     Args:
         rhs: right-hand side image (H, W), or a stack (B, H, W) of them,
-            each solved on its own with the bytes of its own solve.
+            each solved on its own with the bytes of its own solve; one
+            with no pixel is a ``ValueError``.
         alpha_w: screening weight, finite and > 0.
         alpha_p: diffusion weight, finite and >= 0.
 
@@ -175,6 +178,7 @@ def solve_screened_poisson(rhs, alpha_w, alpha_p):
         raise ValueError("alpha_p must be finite and nonnegative")
     rhs = np.asarray(rhs, dtype=np.float64)
     shape = rhs.shape
+    _nonempty(shape)
     h, w = shape[-2:]
     rhs = rhs.reshape((-1, h, w))
     pairs = [(rx, cx, rv, cv) for rx, rv in _reordering(h) for cx, cv in _reordering(w)]

@@ -201,9 +201,14 @@ class TraceRecord:
 
 
 def alpha_lower_bound(lambda2: float, c: float, epsilon: float) -> float:
-    """Penalty bound sufficient for convergence of the bilinear split."""
+    """Penalty bound sufficient for convergence of the bilinear split;
+    ``lambda2`` and ``epsilon`` must be finite and positive, and ``c``
+    positive."""
     if not c > 0.0:
         raise ValueError("c must be positive")
+    for name, x in (("lambda2", lambda2), ("epsilon", epsilon)):
+        if not 0.0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive")
     return max(np.sqrt(2.0) * lambda2 / (c * c * epsilon), lambda2 * (1.0 / c - 1.0) ** 2)
 
 

@@ -68,7 +68,7 @@ def test_weight_must_be_finite(weight):
 
 def test_constant_input_is_fixed_point():
     g = np.full((5, 7), 0.42)
-    u, q = tv_l2_denoise(g, 3.0, ChambolleConfig(inner_iters=25))
+    u, q, _ = tv_l2_denoise(g, 3.0, ChambolleConfig(inner_iters=25))
     np.testing.assert_array_equal(u, g)  # exactly, not approximately
     assert np.all(q == 0.0)
 
@@ -76,7 +76,7 @@ def test_constant_input_is_fixed_point():
 def test_huge_weight_returns_input():
     rng = np.random.default_rng(0)
     g = rng.uniform(0, 1, (8, 8))
-    u, _ = tv_l2_denoise(g, 1e12, ChambolleConfig(inner_iters=50))
+    u, _, _ = tv_l2_denoise(g, 1e12, ChambolleConfig(inner_iters=50))
     assert np.max(np.abs(u - g)) <= 1e-6
 
 
@@ -85,7 +85,7 @@ def test_1x4_against_dp_oracle():
     g = np.array([0.0, 0.0, 1.0, 1.0])
     oracle = tv1d_dp(g, 2.0, -0.5, 1.5, 1e-5)
     np.testing.assert_allclose(oracle, [0.25, 0.25, 0.75, 0.75], atol=2e-5)
-    u, _ = tv_l2_denoise(g.reshape(1, 4), 2.0, ChambolleConfig(inner_iters=500))
+    u, _, _ = tv_l2_denoise(g.reshape(1, 4), 2.0, ChambolleConfig(inner_iters=500))
     assert np.max(np.abs(u.ravel() - oracle)) <= 1e-4
 
 
@@ -93,7 +93,7 @@ def test_random_1x6_against_dp_oracle():
     rng = np.random.default_rng(19)
     g = rng.uniform(-0.3, 1.3, 6)
     oracle = tv1d_dp(g, 3.5, -1.0, 2.0, 1e-5)
-    u, _ = tv_l2_denoise(g.reshape(1, 6), 3.5, ChambolleConfig(inner_iters=3000))
+    u, _, _ = tv_l2_denoise(g.reshape(1, 6), 3.5, ChambolleConfig(inner_iters=3000))
     assert np.max(np.abs(u.ravel() - oracle)) <= 1e-4
 
 
@@ -104,7 +104,7 @@ def test_dual_always_feasible():
     cfg = ChambolleConfig(inner_iters=1)
     dual = None
     for _ in range(60):
-        _, dual = tv_l2_denoise(g, 0.8, cfg, dual=dual)
+        _, dual, _ = tv_l2_denoise(g, 0.8, cfg, dual=dual)
         assert magnitude(dual).max() <= 1.0 + 1e-12
 
 
@@ -112,9 +112,9 @@ def test_warm_start_composes_exactly():
     """Two warm-started 10-step calls equal one 20-step call, bitwise."""
     rng = np.random.default_rng(9)
     g = rng.uniform(0, 1, (10, 10))
-    _, d1 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10))
-    u2, d2 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10), dual=d1)
-    u20, d20 = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=20))
+    _, d1, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10))
+    u2, d2, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=10), dual=d1)
+    u20, d20, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=20))
     assert np.array_equal(u2, u20)
     assert np.array_equal(d2, d20)
 
@@ -124,10 +124,10 @@ def test_in_place_steps_write_the_callers_dual_with_the_same_bytes():
     run has the bytes of one fresh run of the same total depth."""
     rng = np.random.default_rng(12)
     g = rng.uniform(0, 1, (9, 8))
-    _, warm = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=3))
-    u, dual = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), dual=warm)
+    _, warm, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=3))
+    u, dual, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=4), dual=warm)
     assert dual is warm
-    u_fresh, d_fresh = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=7))
+    u_fresh, d_fresh, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=7))
     assert u.tobytes() == u_fresh.tobytes() and warm.tobytes() == d_fresh.tobytes()
 
 
@@ -157,17 +157,18 @@ def test_steps_give_the_bytes_of_the_textbook_update(shape, stack, depth):
     warm /= np.maximum(magnitude(warm), 1.0)[..., None, :, :]
     for start in (np.zeros(field_shape(shape)), warm):
         u_ref, q_ref = textbook_tv_l2(g, weight, depth, start)
-        u, q = tv_l2_denoise(g, weight, cfg, start.copy())
+        u, q, _ = tv_l2_denoise(g, weight, cfg, start.copy())
         assert u.tobytes() == u_ref.tobytes() and q.tobytes() == q_ref.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(9, 8), (3, 9, 8)])
 def test_carried_divergence_gives_the_bytes_of_calls_without_it(shape):
     """Twenty warm-started calls on a moving ``g``, each handed the ``div``
-    the previous one returned, give the ``u`` and dual bytes of twenty calls
-    that take the divergence themselves, and ``div`` is always the dual's.
-    The stack drops its middle image after the tenth call, from the dual and
-    the carried image alike, as the solvers' ``_keep`` does."""
+    the previous one returned, give the ``u``, dual and ``div`` bytes of
+    twenty calls given ``div=None``, which take the divergence themselves,
+    and ``div`` is always the dual's.  The stack drops its middle image
+    after the tenth call, from the dual and the carried image alike, as the
+    solvers' ``_keep`` does."""
     rng = np.random.default_rng(31)
     base, drift = rng.uniform(0, 1, shape), rng.normal(0, 0.05, shape)
     cfg = ChambolleConfig(inner_iters=2)
@@ -178,9 +179,29 @@ def test_carried_divergence_gives_the_bytes_of_calls_without_it(shape):
             base, drift, dual, div, ref = base[keep], drift[keep], dual[keep], div[keep], ref[keep]
         g = base + k * drift
         u, dual, div = tv_l2_denoise(g, 2.5, cfg, dual, div=div)
-        u_ref, ref = tv_l2_denoise(g, 2.5, cfg, ref)
+        u_ref, ref, div_ref = tv_l2_denoise(g, 2.5, cfg, ref, div=None)
         assert u.tobytes() == u_ref.tobytes() and dual.tobytes() == ref.tobytes()
-        assert div.tobytes() == divergence(dual).tobytes()
+        assert div.tobytes() == div_ref.tobytes() == divergence(dual).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (3, 9, 8)])
+def test_every_call_returns_the_divergence_of_its_dual(shape):
+    """Every call returns ``(u, dual, div)``: in one block ``div`` has the
+    bytes of ``grid.divergence`` on the returned dual, and ``u`` those of
+    ``g - div / weight``, from a zero dual or a warm one, with a ``div``
+    handed in or without."""
+    rng = np.random.default_rng(8)
+    g, g2 = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape)
+    cfg = ChambolleConfig(inner_iters=3)
+    out = tv_l2_denoise(g, 2.5, cfg)
+    assert len(out) == 3
+    u, dual, div = out
+    assert div.tobytes() == divergence(dual).tobytes()
+    assert u.tobytes() == (g - div / 2.5).tobytes()
+    for carried in (div.copy(), None):
+        u2, dual2, div2 = tv_l2_denoise(g2, 2.5, cfg, dual.copy(), div=carried)
+        assert div2.tobytes() == divergence(dual2).tobytes()
+        assert u2.tobytes() == (g2 - div2 / 2.5).tobytes()
 
 
 def test_carried_divergence_is_the_array_passed_in():
@@ -223,8 +244,8 @@ def test_in_place_steps_allocate_no_dual_copy(transient_peak):
     rng = np.random.default_rng(13)
     g = rng.uniform(0, 1, (256, 256))
     cfg = ChambolleConfig(inner_iters=2)
-    _, warm = tv_l2_denoise(g, 2.5, cfg)
-    (_, dual), peak = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
+    _, warm, _ = tv_l2_denoise(g, 2.5, cfg)
+    (_, dual, _), peak = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
     assert dual is warm
     assert peak <= 6.1 * g.nbytes
 
@@ -239,9 +260,9 @@ def test_full_tau_still_converges_to_the_minimizer():
     """
     rng = np.random.default_rng(22)
     g = rng.uniform(0, 1, (8, 8))
-    u_full, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=3000))
+    u_full, _, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=3000))
     e_long = tv_l2_energy(u_full, g, 4.0)
-    u_one, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=1))
+    u_one, _, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=1))
     assert e_long <= tv_l2_energy(u_one, g, 4.0) + 1e-12
 
 
@@ -254,7 +275,7 @@ def test_kkt_residual_at_convergence():
     """
     rng = np.random.default_rng(23)
     g = rng.uniform(0, 1, (8, 8))
-    u, q = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=5000))
+    u, q, _ = tv_l2_denoise(g, 4.0, ChambolleConfig(inner_iters=5000))
     gu = gradient(u)
     residual = magnitude(q * magnitude(gu) + gu)
     assert residual.max() <= 1e-4

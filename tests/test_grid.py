@@ -1,9 +1,13 @@
 """Differential operators and the checked log on image grids."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mpgdenoise import grid
+from mpgdenoise.chambolle import tv_l2_denoise
+from mpgdenoise.screened_poisson import solve_screened_poisson
 
 
 def brute_inner(a, b):
@@ -249,6 +253,21 @@ def test_as_image_validates():
         grid.as_image(np.array([[np.inf, 0.0]]))
     out = grid.as_image([[1, 2], [3, 4]])
     assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (2, 0, 5)])
+@pytest.mark.parametrize("name", ["gradient", "total_variation", "tv_l2_denoise", "solve_screened_poisson"])
+def test_zero_extent_image_is_rejected_naming_its_shape(name, shape):
+    """An image with no pixel raises ``ValueError`` naming its shape, not an
+    ``IndexError``, a ``ZeroDivisionError`` or a reshape error."""
+    call = {
+        "gradient": grid.gradient,
+        "total_variation": grid.total_variation,
+        "tv_l2_denoise": lambda u: tv_l2_denoise(u, 2.5),
+        "solve_screened_poisson": lambda u: solve_screened_poisson(u, 1.0, 1.0),
+    }[name]
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}$"):
+        call(np.zeros(shape))
 
 
 def test_ln_values():

@@ -41,7 +41,7 @@ def tv_run(g, depth, warm, n):
 
     with block_pixels(n), pytest.MonkeyPatch.context() as mp:
         mp.setattr(chambolle, "_steps", counted)
-        u, out = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=depth), dual)
+        u, out, _ = tv_l2_denoise(g, 2.5, ChambolleConfig(inner_iters=depth), dual)
     if dual is not None:
         assert out is dual
     return u, out, len(calls)
@@ -133,19 +133,23 @@ def test_tv_blocks_start_just_above_one_block(depth, extra, blocks):
 
 
 def test_blocked_call_carries_no_divergence():
-    """Above the block size a call asked for the carry takes its own
-    divergences and returns ``div = None``, with the bytes of the call that
-    was not asked; the next call then starts without one."""
+    """Above the block size every call returns three values, ``div`` being
+    ``None``, a ``div`` handed in or not: it takes its own divergences, with
+    the bytes of one-block calls that carry theirs, and the next call then
+    starts without one."""
     rng = np.random.default_rng(40)
-    g = rng.uniform(0, 1, (40, 33))
     cfg = ChambolleConfig(inner_iters=2)
-    dual = rng.normal(0, 0.4, (2, 40, 33))
-    ref = dual.copy()
-    with block_pixels(SMALL_BLOCK):
-        for _ in range(2):
-            u, dual, div = tv_l2_denoise(g, 2.5, cfg, dual, div=None)
-            u_ref, ref = tv_l2_denoise(g, 2.5, cfg, ref)
-            assert div is None
+    for shape in ((40, 33), (3, 40, 33)):
+        g = rng.uniform(0, 1, shape)
+        dual = rng.normal(0, 0.4, grid.field_shape(shape))
+        ref, div_ref = dual.copy(), None
+        for k in range(3):
+            handed = grid.divergence(dual) if k == 2 else None
+            with block_pixels(SMALL_BLOCK):
+                out = tv_l2_denoise(g, 2.5, cfg, dual, div=handed)
+            assert len(out) == 3 and out[2] is None
+            u, dual, _ = out
+            u_ref, ref, div_ref = tv_l2_denoise(g, 2.5, cfg, ref, div=div_ref)
             assert u.tobytes() == u_ref.tobytes() and dual.tobytes() == ref.tobytes()
 
 
@@ -276,8 +280,8 @@ def test_tv_step_holds_two_images_beyond_its_output(image_1024, transient_peak):
     """10 warm-started steps hold block-sized work arrays and no dual copy."""
     g = image_1024
     cfg = ChambolleConfig(inner_iters=10)
-    _, warm = tv_l2_denoise(g, 2.5, cfg)
-    (u, dual), peak = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
+    _, warm, _ = tv_l2_denoise(g, 2.5, cfg)
+    (u, dual, _), peak = transient_peak(tv_l2_denoise, g, 2.5, cfg, warm)
     assert dual is warm
     assert peak <= u.nbytes + 2 * g.nbytes
 

@@ -98,6 +98,16 @@ def test_alpha_lower_bound_hand_values():
         alpha_lower_bound(2.0, -0.3, 1e-2)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1e-2, math.inf, math.nan])
+@pytest.mark.parametrize("name", ["lambda2", "epsilon"])
+def test_alpha_lower_bound_rejects_a_weight_that_is_not_finite_and_positive(name, bad):
+    """A zero ``epsilon`` no longer divides by zero into ``inf``, and a
+    negative one no longer picks the other branch of the bound."""
+    args = {"lambda2": 2.0, "c": 0.5, "epsilon": 1e-2, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+        alpha_lower_bound(**args)
+
+
 # ---------------------------------------------------------------------------
 # initial states
 
@@ -149,7 +159,7 @@ def test_u_step_matches_long_dual_projection():
                        chambolle=ChambolleConfig(inner_iters=10))
     u = bca_u_step(st, f, cfg)
     target = st.v * st.w + st.lam_w / cfg.alpha - cfg.lambda2 / cfg.alpha
-    ref, _ = tv_l2_denoise(target, cfg.alpha, ChambolleConfig(inner_iters=5000))
+    ref, _, _ = tv_l2_denoise(target, cfg.alpha, ChambolleConfig(inner_iters=5000))
     assert np.linalg.norm(u - ref) / np.linalg.norm(ref) < 2e-3
 
 
@@ -163,7 +173,7 @@ def test_u_step_vanishing_poisson_weight_reduces_to_plain_tv():
     cfg = SolverConfig(lambda1=8.0, lambda2=1e-300, alpha=200.0,
                        chambolle=ChambolleConfig(inner_iters=40))
     u = bca_u_step(st, f, cfg)
-    plain, _ = tv_l2_denoise(st.v * st.w, 200.0, ChambolleConfig(inner_iters=40))
+    plain, _, _ = tv_l2_denoise(st.v * st.w, 200.0, ChambolleConfig(inner_iters=40))
     assert np.array_equal(u, plain)
 
 

@@ -40,7 +40,7 @@ def test_operators_on_a_stack_give_each_image_its_own_bytes(shape):
     grad, div, mag = grid.gradient(u), grid.divergence(q), grid.magnitude(q)
     shrunk = soft_threshold(q, 0.3)
     poisson = solve_screened_poisson(u, 3.0, 0.7)
-    tv, dual = tv_l2_denoise(u, 2.0, ChambolleConfig(inner_iters=3))
+    tv, dual, _ = tv_l2_denoise(u, 2.0, ChambolleConfig(inner_iters=3))
     assert grad.shape == q.shape and dual.shape == q.shape
     for b in range(shape[0]):
         assert grad[b].tobytes() == grid.gradient(u[b]).tobytes()
@@ -48,7 +48,7 @@ def test_operators_on_a_stack_give_each_image_its_own_bytes(shape):
         assert mag[b].tobytes() == grid.magnitude(q[b]).tobytes()
         assert shrunk[b].tobytes() == soft_threshold(q[b], 0.3).tobytes()
         assert poisson[b].tobytes() == solve_screened_poisson(u[b], 3.0, 0.7).tobytes()
-        tv_b, dual_b = tv_l2_denoise(u[b], 2.0, ChambolleConfig(inner_iters=3))
+        tv_b, dual_b, _ = tv_l2_denoise(u[b], 2.0, ChambolleConfig(inner_iters=3))
         assert tv[b].tobytes() == tv_b.tobytes() and dual[b].tobytes() == dual_b.tobytes()
 
 
